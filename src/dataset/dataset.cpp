@@ -61,66 +61,71 @@ QaoaParams canonicalize_params_symmetric(const QaoaParams& params) {
   return out;
 }
 
-std::vector<DatasetEntry> generate_dataset(const DatasetGenConfig& config,
-                                           const ProgressFn& progress) {
-  QGNN_REQUIRE(config.num_instances >= 1, "need at least one instance");
-  QGNN_REQUIRE(config.min_nodes >= 2, "graphs need at least two nodes");
+std::vector<DatasetEntry> draw_dataset_instances(
+    const DatasetGenConfig& config) {
   QGNN_REQUIRE(config.max_nodes <= kMaxQubits,
                "max nodes exceeds simulator range");
-  QGNN_REQUIRE(config.min_nodes <= config.max_nodes, "node range inverted");
   QGNN_REQUIRE(config.depth >= 1, "QAOA depth must be at least 1");
-
-  // Phase 1 (serial, cheap): draw the graph sequence. This consumes
-  // exactly the same RNG stream as generate_graphs, so the two functions
-  // keep producing matching instance sequences.
-  Rng master(config.seed);
-  Rng graph_rng = master.child();
-  std::vector<DatasetEntry> entries;
-  entries.resize(static_cast<std::size_t>(config.num_instances));
-  {
-    std::size_t filled = 0;
-    while (filled < entries.size()) {
-      auto [g, d] = sample_instance(config, graph_rng);
-      if (d < 0 || g.num_edges() == 0) continue;
-      entries[filled].graph = std::move(g);
-      entries[filled].degree = d;
-      ++filled;
-    }
+  std::vector<Graph> graphs = generate_graphs(config);
+  std::vector<DatasetEntry> entries(graphs.size());
+  for (std::size_t i = 0; i < graphs.size(); ++i) {
+    // Every kept instance is d-regular with d >= 1.
+    entries[i].degree = graphs[i].degree(0);
+    entries[i].graph = std::move(graphs[i]);
   }
+  return entries;
+}
 
+void label_dataset_entry(const DatasetGenConfig& config, DatasetEntry& entry,
+                         std::size_t index) {
   QaoaRunConfig run;
   run.depth = config.depth;
   run.optimizer = config.optimizer;
   run.max_evaluations = config.optimizer_evaluations;
   run.sample_shots = 0;  // labels only need <C>; skip sampling cost
+  Rng item_rng(derive_seed(config.seed, index));
+  RandomInitializer initializer(item_rng.child());
+  Rng sample_rng = item_rng.child();
+  const QaoaResult result =
+      run_qaoa(entry.graph, initializer, run, sample_rng);
+  entry.label = config.symmetrize_labels
+                    ? canonicalize_params_symmetric(result.best_params)
+                    : canonicalize_params(result.best_params);
+  entry.expectation = result.best_expectation;
+  entry.optimum = result.optimum;
+  entry.approximation_ratio = result.best_ar;
+}
 
-  // Phase 2 (parallel, dominant): label each graph. Every instance seeds
-  // its own streams from (config.seed, index), so labels are bit-identical
-  // at any thread count and independent of completion order.
-  std::mutex progress_mutex;
-  int labelled = 0;
+void label_dataset_entries(const DatasetGenConfig& config,
+                           std::vector<DatasetEntry>& entries, std::size_t lo,
+                           std::size_t hi,
+                           const std::function<void()>& on_labelled) {
+  // One item per task: items cost from microseconds (n = 2) to hundreds
+  // of milliseconds (n = 15), so only single-item grains keep every pool
+  // lane busy on a mixed-size range. Labels come from per-index seeds,
+  // so they are bit-identical at any thread count and completion order.
+  std::mutex hook_mutex;
   ThreadPool::global().parallel_for(
-      0, entries.size(), 1, [&](std::uint64_t lo, std::uint64_t hi) {
-        for (std::uint64_t i = lo; i < hi; ++i) {
-          DatasetEntry& entry = entries[i];
-          Rng item_rng(derive_seed(config.seed, i));
-          RandomInitializer initializer(item_rng.child());
-          Rng sample_rng = item_rng.child();
-          const QaoaResult result =
-              run_qaoa(entry.graph, initializer, run, sample_rng);
-          entry.label =
-              config.symmetrize_labels
-                  ? canonicalize_params_symmetric(result.best_params)
-                  : canonicalize_params(result.best_params);
-          entry.expectation = result.best_expectation;
-          entry.optimum = result.optimum;
-          entry.approximation_ratio = result.best_ar;
-          if (progress) {
-            std::lock_guard<std::mutex> lk(progress_mutex);
-            progress(++labelled, config.num_instances);
+      lo, hi, 1, [&](std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t i = b; i < e; ++i) {
+          label_dataset_entry(config, entries[i], i);
+          if (on_labelled) {
+            std::lock_guard<std::mutex> lk(hook_mutex);
+            on_labelled();
           }
         }
       });
+}
+
+std::vector<DatasetEntry> generate_dataset(const DatasetGenConfig& config,
+                                           const ProgressFn& progress) {
+  std::vector<DatasetEntry> entries = draw_dataset_instances(config);
+  int labelled = 0;
+  label_dataset_entries(
+      config, entries, 0, entries.size(),
+      progress ? std::function<void()>(
+                     [&] { progress(++labelled, config.num_instances); })
+               : std::function<void()>());
   return entries;
 }
 

@@ -45,9 +45,33 @@ struct DatasetGenConfig {
 /// Progress hook: (instances_done, instances_total).
 using ProgressFn = std::function<void(int, int)>;
 
-/// Generate the labelled dataset. Deterministic for a fixed config.
+/// Generate the labelled dataset: draw_dataset_instances, then
+/// label_dataset_entries over every item. Deterministic for a fixed
+/// config and bit-identical at any thread count.
 std::vector<DatasetEntry> generate_dataset(const DatasetGenConfig& config,
                                            const ProgressFn& progress = {});
+
+/// Phase 1 of generate_dataset: validate `config` and draw the unlabelled
+/// instances (graph plus regular degree). Consumes the same RNG stream as
+/// generate_graphs, so entry i holds generate_graphs(config)[i].
+std::vector<DatasetEntry> draw_dataset_instances(const DatasetGenConfig& config);
+
+/// Label one entry in place exactly the way generate_dataset labels item
+/// `index` of a run seeded with config.seed: the derive_seed(seed, index)
+/// stream, one run_qaoa call, the configured label canonicalization. The
+/// only code that labels a dataset item; the factory and the online
+/// mining relabel job (src/mine) call it too. Determinism is per
+/// (config, graph, index), never per thread or call order.
+void label_dataset_entry(const DatasetGenConfig& config, DatasetEntry& entry,
+                         std::size_t index);
+
+/// Label entries[lo, hi) in place on the global thread pool, one item per
+/// task, each through label_dataset_entry(config, entries[i], i).
+/// `on_labelled`, if set, runs once after each item, serialized.
+void label_dataset_entries(const DatasetGenConfig& config,
+                           std::vector<DatasetEntry>& entries, std::size_t lo,
+                           std::size_t hi,
+                           const std::function<void()>& on_labelled = {});
 
 /// Sample only the graphs (no QAOA labelling) with the same distribution
 /// the labelled generator uses. Cheap path for distribution plots

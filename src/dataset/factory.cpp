@@ -1,27 +1,17 @@
 #include "dataset/factory.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <span>
+#include <functional>
 #include <sstream>
 #include <utility>
 
-#include "simd/kernels.hpp"
 #include "dataset/packed.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
-#include "qaoa/cost_hamiltonian.hpp"
-#include "qaoa/optimize.hpp"
-#include "qaoa/qaoa.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace qgnn {
 
@@ -29,18 +19,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Registry handles cached once; the labelling loops run hundreds of
-// thousands of passes and must not take the registry mutex per event.
+// Registry handles cached once, so the per-item labelling hook never
+// takes the registry mutex.
 obs::Counter& graphs_labeled_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       obs::names::kDatasetGraphsLabeled);
   return c;
-}
-
-obs::LatencyHistogram& batch_fill_histogram() {
-  static obs::LatencyHistogram& h = obs::MetricsRegistry::global().histogram(
-      obs::names::kDatasetBatchFill);
-  return h;
 }
 
 obs::LatencyHistogram& label_wave_histogram() {
@@ -53,349 +37,6 @@ obs::LatencyHistogram& shard_commit_histogram() {
   static obs::LatencyHistogram& h = obs::MetricsRegistry::global().histogram(
       obs::names::kDatasetShardCommitUs);
   return h;
-}
-
-/// Default batch width by qubit count: the lane count sets the lockstep
-/// Nelder-Mead wave width and the workspace footprint (K * 2^n * 16
-/// bytes of amplitudes) — kernels run lane-at-a-time, so width is a
-/// scheduling choice, never a results choice. Wide lanes on tiny
-/// statevectors keep refill churn low; at n >= 13 each lane's rotating
-/// set (amplitudes + levels + diagonal) is hundreds of KB, so two lanes
-/// is all that stays resident in a 1-2 MB L2 — wider widths measured
-/// slower there.
-int auto_lanes(int num_qubits) {
-  if (num_qubits <= 8) return 32;
-  if (num_qubits <= 10) return 16;
-  if (num_qubits <= 12) return 8;
-  return 2;
-}
-
-/// K statevectors labelled in lockstep through one workspace. Each lane
-/// owns a contiguous pair of arrays (re[dim], im[dim]) — separated real
-/// and imaginary components instead of interleaved std::complex — so
-/// the split-layout SIMD kernels in simd/kernels.hpp run at full register
-/// width with no shuffles. The per-amplitude arithmetic replicates the
-/// scalar StateVector/QaoaEvalEngine expressions operation for
-/// operation (the wide kernels use explicit mul/add, never FMA), so
-/// each lane's result is bit-identical to a scalar evaluation of the
-/// same engine — and therefore independent of K, the selected
-/// instruction set, scheduling, and thread count.
-class BatchEvaluator {
- public:
-  BatchEvaluator(int num_qubits, int lanes, int depth)
-      : n_(num_qubits),
-        lanes_(lanes),
-        depth_(depth),
-        dim_(std::uint64_t{1} << num_qubits),
-        cost_fn_(simd::cost_layer_split()),
-        mixer_fn_(simd::mixer_layer_split()) {
-    QGNN_REQUIRE(lanes_ >= 1, "batch evaluator needs at least one lane");
-    const std::size_t total = static_cast<std::size_t>(dim_) * lanes_;
-    re_.assign(total, 0.0);
-    im_.assign(total, 0.0);
-    engines_.assign(static_cast<std::size_t>(lanes_), nullptr);
-  }
-
-  int lanes() const { return lanes_; }
-
-  /// Bind `engine` (which must have an active phase table) to `lane`.
-  /// The lane reads the engine's level index and diagonal in place, so
-  /// the engine must outlive the binding.
-  void bind(int lane, const QaoaEvalEngine* engine) {
-    QGNN_REQUIRE(engine->num_qubits() == n_,
-                 "engine qubit count does not match batch evaluator");
-    QGNN_REQUIRE(engine->phase_table_active(),
-                 "batch evaluator requires the phase-table fast path");
-    engines_[static_cast<std::size_t>(lane)] = engine;
-    const std::size_t levels = engine->num_levels();
-    if (levels > tab_re_.size()) {
-      tab_re_.resize(levels);
-      tab_im_.resize(levels);
-    }
-  }
-
-  /// One full ansatz-plus-expectation pass for every active lane.
-  /// flats[k] points at lane k's flat parameters [gamma_0.., beta_0..];
-  /// inactive lanes are skipped entirely. On return out[k] holds <D_k>
-  /// for every active lane.
-  void evaluate(const std::vector<const double*>& flats,
-                const std::vector<char>& active, std::vector<double>& out) {
-    for (int k = 0; k < lanes_; ++k) {
-      if (active[static_cast<std::size_t>(k)]) {
-        out[static_cast<std::size_t>(k)] =
-            evaluate_lane(k, flats[static_cast<std::size_t>(k)]);
-      }
-    }
-  }
-
- private:
-  double evaluate_lane(int k, const double* flat) {
-    const QaoaEvalEngine& eng = *engines_[static_cast<std::size_t>(k)];
-    double* re = re_.data() + static_cast<std::size_t>(k) * dim_;
-    double* im = im_.data() + static_cast<std::size_t>(k) * dim_;
-    // Same expression as StateVector::set_plus_state.
-    const double amp = 1.0 / std::sqrt(static_cast<double>(dim_));
-    std::fill(re, re + dim_, amp);
-    std::fill(im, im + dim_, 0.0);
-    const std::span<const double> levels = eng.levels();
-    const std::uint16_t* lev = eng.level_index().data();
-    for (int layer = 0; layer < depth_; ++layer) {
-      const double gamma = flat[layer];
-      for (std::size_t l = 0; l < levels.size(); ++l) {
-        // Same expression as QaoaEvalEngine::build_phase_table.
-        const double phi = -gamma * levels[l];
-        tab_re_[l] = std::cos(phi);
-        tab_im_[l] = std::sin(phi);
-      }
-      cost_fn_(re, im, lev, tab_re_.data(), tab_im_.data(), dim_);
-      // theta = 2*beta and the scalar kernel takes cos/sin of theta/2;
-      // (2.0*beta)/2.0 == beta exactly, so use beta directly.
-      const double beta = flat[depth_ + layer];
-      mixer_fn_(re, im, n_, std::cos(beta), std::sin(beta));
-    }
-    return expectation_lane(re, im, eng.diagonal().data());
-  }
-
-  /// Mirror reduce_index's summation shape: a single sequential chunk
-  /// below kParallelDim, and 2^12-state chunk partials combined in chunk
-  /// order from zero at or above it — so the lane's sum matches the
-  /// scalar engine bit-for-bit at every qubit count. Summation order is
-  /// pinned; this loop is deliberately not SIMD-dispatched.
-  double expectation_lane(const double* re, const double* im,
-                          const double* diag) const {
-    constexpr std::uint64_t kParallelDim = std::uint64_t{1} << 14;
-    constexpr std::uint64_t kGrain = std::uint64_t{1} << 12;
-    auto chunk = [&](std::uint64_t lo, std::uint64_t hi) {
-      double acc = 0.0;
-      for (std::uint64_t s = lo; s < hi; ++s) {
-        // Same expression order as expectation_diagonal's chunk body:
-        // norm(amp) * diag, accumulated in state order.
-        const double p = re[s] * re[s] + im[s] * im[s];
-        acc += p * diag[s];
-      }
-      return acc;
-    };
-    if (dim_ >= kParallelDim) {
-      double total = 0.0;
-      for (std::uint64_t lo = 0; lo < dim_; lo += kGrain) {
-        total += chunk(lo, std::min(dim_, lo + kGrain));
-      }
-      return total;
-    }
-    return chunk(0, dim_);
-  }
-
-  int n_;
-  int lanes_;
-  int depth_;
-  std::uint64_t dim_;
-  simd::CostLayerSplitFn cost_fn_;
-  simd::MixerLayerSplitFn mixer_fn_;
-  std::vector<double> re_, im_;          // [lane * dim + state]
-  std::vector<double> tab_re_, tab_im_;  // phase-table scratch (one lane)
-  std::vector<const QaoaEvalEngine*> engines_;
-};
-
-/// Label one item exactly the way generate_dataset does (same RNG
-/// derivation, same run_qaoa call), so non-batchable items — non-NM
-/// optimizers, or diagonals without a phase table — produce byte-identical
-/// entries to the sequential generator.
-void label_item_sequential(const DatasetGenConfig& config, DatasetEntry& entry,
-                           std::size_t index) {
-  QaoaRunConfig run;
-  run.depth = config.depth;
-  run.optimizer = config.optimizer;
-  run.max_evaluations = config.optimizer_evaluations;
-  run.sample_shots = 0;  // labels only need <C>; skip sampling cost
-  Rng item_rng(derive_seed(config.seed, index));
-  RandomInitializer initializer(item_rng.child());
-  Rng sample_rng = item_rng.child();
-  const QaoaResult result =
-      run_qaoa(entry.graph, initializer, run, sample_rng);
-  entry.label = config.symmetrize_labels
-                    ? canonicalize_params_symmetric(result.best_params)
-                    : canonicalize_params(result.best_params);
-  entry.expectation = result.best_expectation;
-  entry.optimum = result.optimum;
-  entry.approximation_ratio = result.best_ar;
-}
-
-struct NmLane {
-  std::size_t item = 0;
-  std::unique_ptr<CostHamiltonian> cost;
-  std::unique_ptr<NelderMeadStepper> stepper;
-  bool active = false;
-};
-
-/// Lockstep Nelder-Mead over one task's items (all the same qubit count):
-/// every pass evaluates each live lane's pending simplex point in one
-/// batched sweep; finished lanes refill from the task queue. Each lane's
-/// evaluation sequence is exactly the sequence nelder_mead_maximize would
-/// request, fed with bit-identical objective values, so the labels do not
-/// depend on lane count, refill order, or what the other lanes compute.
-void label_items_nm(const DatasetGenConfig& config,
-                    std::vector<DatasetEntry>& entries,
-                    std::span<const std::size_t> items, int lanes,
-                    bool obs_on) {
-  const int n = entries[items.front()].graph.num_nodes();
-  BatchEvaluator be(n, lanes, config.depth);
-  NelderMeadConfig nm;
-  nm.max_evaluations = config.optimizer_evaluations;
-
-  std::vector<NmLane> lane(static_cast<std::size_t>(lanes));
-  std::vector<const double*> flats(static_cast<std::size_t>(lanes), nullptr);
-  std::vector<char> active(static_cast<std::size_t>(lanes), 0);
-  std::vector<double> out(static_cast<std::size_t>(lanes), 0.0);
-
-  std::size_t next = 0;
-  int num_active = 0;
-
-  auto finalize = [&](NmLane& slot) {
-    OptResult r = slot.stepper->take_result();
-    DatasetEntry& e = entries[slot.item];
-    const QaoaParams best = QaoaParams::from_flat(r.best_params);
-    e.label = config.symmetrize_labels ? canonicalize_params_symmetric(best)
-                                       : canonicalize_params(best);
-    e.expectation = r.best_value;
-    e.optimum = slot.cost->max_value();
-    e.approximation_ratio =
-        e.optimum > 0.0 ? e.expectation / e.optimum : 1.0;
-  };
-
-  auto load = [&](int k) {
-    NmLane& slot = lane[static_cast<std::size_t>(k)];
-    while (next < items.size()) {
-      const std::size_t item = items[next++];
-      auto cost = std::make_unique<CostHamiltonian>(entries[item].graph);
-      if (!cost->engine().phase_table_active()) {
-        // No quantized cost layer (pathological weighted diagonal): label
-        // through the scalar path right here and keep refilling.
-        label_item_sequential(config, entries[item], item);
-        continue;
-      }
-      // Same per-item stream derivation as generate_dataset: initializer
-      // stream first, then the (unused) sampling stream.
-      Rng item_rng(derive_seed(config.seed, item));
-      RandomInitializer initializer(item_rng.child());
-      Rng sample_rng = item_rng.child();
-      (void)sample_rng;  // labels skip sampling; kept for stream parity
-      const QaoaParams start =
-          initializer.initialize(entries[item].graph, config.depth);
-      be.bind(k, &cost->engine());
-      slot.item = item;
-      slot.cost = std::move(cost);  // old engine (if any) freed after rebind
-      slot.stepper =
-          std::make_unique<NelderMeadStepper>(start.flatten(), nm);
-      slot.active = true;
-      active[static_cast<std::size_t>(k)] = 1;
-      flats[static_cast<std::size_t>(k)] = slot.stepper->ask()->data();
-      ++num_active;
-      return;
-    }
-    // Queue drained: the lane idles. Inactive lanes are skipped by the
-    // evaluator, so the slot can release its engine and stepper now.
-    slot.active = false;
-    slot.cost.reset();
-    slot.stepper.reset();
-    active[static_cast<std::size_t>(k)] = 0;
-    flats[static_cast<std::size_t>(k)] = nullptr;
-  };
-
-  for (int k = 0; k < lanes; ++k) load(k);
-
-  while (num_active > 0) {
-    if (obs_on) {
-      batch_fill_histogram().record(static_cast<double>(num_active));
-    }
-    be.evaluate(flats, active, out);
-    for (int k = 0; k < lanes; ++k) {
-      NmLane& slot = lane[static_cast<std::size_t>(k)];
-      if (!slot.active) continue;
-      slot.stepper->tell(out[static_cast<std::size_t>(k)]);
-      if (slot.stepper->done()) {
-        finalize(slot);
-        --num_active;
-        load(k);
-      } else {
-        flats[static_cast<std::size_t>(k)] = slot.stepper->ask()->data();
-      }
-    }
-  }
-}
-
-/// Label entries[lo, hi) on the global thread pool: group by qubit count,
-/// slice each group into tasks of a few batches' worth, and run tasks in
-/// parallel. Task boundaries depend only on the index range and the lane
-/// width — never on the pool size — and items are labelled from
-/// per-index seeds, so the results are bit-identical at any thread count.
-void label_range(const DatasetGenConfig& config, const FactoryConfig& factory,
-                 std::vector<DatasetEntry>& entries, std::size_t lo,
-                 std::size_t hi,
-                 const std::function<void(int)>& on_labelled) {
-  std::map<int, std::vector<std::size_t>> by_nodes;
-  for (std::size_t i = lo; i < hi; ++i) {
-    by_nodes[entries[i].graph.num_nodes()].push_back(i);
-  }
-
-  struct Task {
-    const std::size_t* items = nullptr;
-    std::size_t count = 0;
-    int lanes = 1;
-  };
-  std::vector<Task> tasks;
-  for (const auto& [n, idx] : by_nodes) {
-    const int lanes = factory.lanes > 0 ? factory.lanes : auto_lanes(n);
-    // A task holds several batches' worth of items so finished lanes
-    // refill locally (keeping batches full) while mixed-size waves still
-    // split into enough tasks to keep every pool lane busy.
-    const std::size_t per_task = static_cast<std::size_t>(lanes) * 4;
-    for (std::size_t b = 0; b < idx.size(); b += per_task) {
-      tasks.push_back({idx.data() + b, std::min(per_task, idx.size() - b),
-                       lanes});
-    }
-  }
-
-  const bool obs_on = obs::enabled();
-  ThreadPool::global().parallel_for(
-      0, tasks.size(), 1, [&](std::uint64_t tlo, std::uint64_t thi) {
-        for (std::uint64_t t = tlo; t < thi; ++t) {
-          const Task& task = tasks[static_cast<std::size_t>(t)];
-          const std::span<const std::size_t> items(task.items, task.count);
-          if (config.optimizer == QaoaOptimizer::kNelderMead) {
-            label_items_nm(config, entries, items, task.lanes, obs_on);
-          } else {
-            for (const std::size_t i : items) {
-              label_item_sequential(config, entries[i], i);
-            }
-          }
-          if (obs_on) {
-            graphs_labeled_counter().add(task.count);
-          }
-          if (on_labelled) on_labelled(static_cast<int>(task.count));
-        }
-      });
-}
-
-void check_gen_config(const DatasetGenConfig& config) {
-  QGNN_REQUIRE(config.num_instances >= 1, "need at least one instance");
-  QGNN_REQUIRE(config.min_nodes >= 2, "graphs need at least two nodes");
-  QGNN_REQUIRE(config.max_nodes <= kMaxQubits,
-               "max nodes exceeds simulator range");
-  QGNN_REQUIRE(config.min_nodes <= config.max_nodes, "node range inverted");
-  QGNN_REQUIRE(config.depth >= 1, "QAOA depth must be at least 1");
-}
-
-/// Phase 1: the graph sequence, via the same RNG stream as
-/// generate_dataset / generate_graphs. Regular degree is recovered from
-/// the graph itself (every kept instance is d-regular with d >= 1).
-std::vector<DatasetEntry> draw_instances(const DatasetGenConfig& config) {
-  std::vector<Graph> graphs = generate_graphs(config);
-  std::vector<DatasetEntry> entries(graphs.size());
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    entries[i].degree = graphs[i].degree(0);
-    entries[i].graph = std::move(graphs[i]);
-  }
-  return entries;
 }
 
 // ---------------------------------------------------------------------------
@@ -538,11 +179,6 @@ std::string shard_filename(std::size_t index) {
 
 }  // namespace
 
-void label_dataset_entry(const DatasetGenConfig& config, DatasetEntry& entry,
-                         std::size_t index) {
-  label_item_sequential(config, entry, index);
-}
-
 std::uint64_t dataset_config_fingerprint(const DatasetGenConfig& config) {
   std::ostringstream os;
   os << "qgnn-dataset-v1|" << config.num_instances << '|' << config.min_nodes
@@ -560,48 +196,24 @@ std::uint64_t dataset_config_fingerprint(const DatasetGenConfig& config) {
   return h;
 }
 
-std::vector<DatasetEntry> generate_dataset_batched(
-    const DatasetGenConfig& config, const FactoryConfig& factory,
-    const ProgressFn& progress) {
-  check_gen_config(config);
-  std::vector<DatasetEntry> entries = draw_instances(config);
-
-  std::mutex progress_mutex;
-  int labelled = 0;
-  const std::function<void(int)> on_labelled =
-      progress ? std::function<void(int)>([&](int k) {
-        std::lock_guard<std::mutex> lk(progress_mutex);
-        labelled += k;
-        progress(labelled, config.num_instances);
-      })
-               : std::function<void(int)>();
-
-  label_range(config, factory, entries, 0, entries.size(), on_labelled);
-  return entries;
-}
-
 bool run_dataset_factory(const DatasetGenConfig& config,
                          const FactoryConfig& factory,
                          const std::string& out_path,
                          const ProgressFn& progress) {
-  check_gen_config(config);
-  std::vector<DatasetEntry> entries = draw_instances(config);
+  std::vector<DatasetEntry> entries = draw_dataset_instances(config);
   const std::size_t total = entries.size();
   const bool obs_on = obs::enabled();
 
-  std::mutex progress_mutex;
   int labelled = 0;
-  const std::function<void(int)> on_labelled =
-      progress ? std::function<void(int)>([&](int k) {
-        std::lock_guard<std::mutex> lk(progress_mutex);
-        labelled += k;
-        progress(labelled, static_cast<int>(total));
-      })
-               : std::function<void(int)>();
+  const std::function<void()> on_labelled = [&] {
+    if (obs_on) graphs_labeled_counter().add(1);
+    ++labelled;
+    if (progress) progress(labelled, static_cast<int>(total));
+  };
 
   if (factory.checkpoint_every <= 0) {
     obs::ScopedTimer wave_timer(obs_on ? &label_wave_histogram() : nullptr);
-    label_range(config, factory, entries, 0, total, on_labelled);
+    label_dataset_entries(config, entries, 0, total, on_labelled);
     save_packed_dataset(out_path, entries);
     return true;
   }
@@ -633,7 +245,7 @@ bool run_dataset_factory(const DatasetGenConfig& config,
     const std::size_t wave_hi = std::min(total, wave_lo + every);
     {
       obs::ScopedTimer wave_timer(obs_on ? &label_wave_histogram() : nullptr);
-      label_range(config, factory, entries, wave_lo, wave_hi, on_labelled);
+      label_dataset_entries(config, entries, wave_lo, wave_hi, on_labelled);
     }
     {
       obs::ScopedTimer commit_timer(obs_on ? &shard_commit_histogram()

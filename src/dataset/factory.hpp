@@ -2,22 +2,18 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+// dataset.hpp declares label_dataset_entry, the one item labeller the
+// factory, generate_dataset and the mining relabel job share.
 #include "dataset/dataset.hpp"
 
 namespace qgnn {
 
-/// Scheduling knobs for the batched labelling factory. None of these
-/// affect the labels or the bytes of the output file — only how the work
-/// is batched, parallelized, and checkpointed. Byte-identity across every
-/// setting here is pinned by the `dataset` test label.
+/// Checkpointing knobs for the dataset factory. None of these affect the
+/// labels or the bytes of the output file — only how the run is split
+/// into committed shards. Byte-identity across every setting here (and
+/// across thread counts) is pinned by the `dataset` test label.
 struct FactoryConfig {
-  /// Statevector lanes evaluated per batch pass. 0 sizes the batch by
-  /// qubit count (wide batches on tiny states, narrow at n = 14..15 where
-  /// the working set must stay cache-resident).
-  int lanes = 0;
-
   /// Records per checkpoint shard; <= 0 disables checkpointing (the whole
   /// run is labelled in memory and written once).
   int checkpoint_every = 0;
@@ -38,39 +34,18 @@ struct FactoryConfig {
 
 /// Fingerprint of every generation-relevant field of `config` (instance
 /// count, node/degree ranges, depth, budget, optimizer, symmetrization,
-/// seed). Scheduling fields are deliberately excluded: a resumed run may
-/// change threads, lanes, or shard size and still continue a manifest.
+/// seed). Scheduling settings are deliberately excluded: a resumed run may
+/// change threads or shard size and still continue a manifest.
 std::uint64_t dataset_config_fingerprint(const DatasetGenConfig& config);
 
-/// Label one entry in place exactly the way generate_dataset would label
-/// item `index` of a run seeded with config.seed: the same
-/// derive_seed(seed, index) stream, the same run_qaoa call, the same label
-/// canonicalization. Exposed for the online mining relabel job (src/mine),
-/// which labels mined production graphs one at a time with the full
-/// optimizer budget; determinism is per (config, graph, index), never
-/// per thread or call order.
-void label_dataset_entry(const DatasetGenConfig& config, DatasetEntry& entry,
-                         std::size_t index);
-
-/// Batched drop-in for generate_dataset: same graph sequence (same
-/// phase-1 RNG stream), same per-item derive_seed(seed, index) streams,
-/// same Nelder-Mead evaluation sequence — but K optimizations advance in
-/// lockstep through one structure-of-arrays workspace per batch, so the
-/// phase-table setup and the memory sweeps are amortized across graphs.
-/// Deterministic: entries are bit-identical at any thread count and any
-/// lane count. Optimizers other than kNelderMead fall back to the
-/// per-item sequential path inside the same scheduling (still
-/// deterministic, still checkpointable via run_dataset_factory).
-std::vector<DatasetEntry> generate_dataset_batched(
-    const DatasetGenConfig& config, const FactoryConfig& factory = {},
-    const ProgressFn& progress = {});
-
-/// Full factory run: label `config.num_instances` graphs (batched, on the
-/// global thread pool) and write the packed dataset to `out_path`. With
-/// checkpointing enabled, every completed wave is committed as a packed
-/// shard plus a resume manifest, so a killed run restarts from the last
-/// committed shard (factory.resume = true) and the final file is
-/// byte-identical to an uninterrupted run.
+/// Full factory run: label `config.num_instances` graphs exactly as
+/// generate_dataset does (the same draw_dataset_instances, then
+/// label_dataset_entries on the global thread pool, one item per task)
+/// and write the packed dataset to `out_path`. With checkpointing enabled,
+/// every completed wave is committed as a packed shard plus a resume
+/// manifest, so a killed run restarts from the last committed shard
+/// (factory.resume = true) and the final file is byte-identical to an
+/// uninterrupted run.
 ///
 /// Returns true when `out_path` was written; false when the run stopped
 /// early via factory.stop_after_shards (the manifest is committed, the

@@ -25,8 +25,8 @@ struct RelabelConfig {
   int workers = 1;
 };
 
-/// Re-label `entries` in place through the dataset factory's per-item
-/// labeller (label_dataset_entry): item i is labelled from the
+/// Re-label `entries` in place through the per-item dataset labeller
+/// (label_dataset_entry): item i is labelled from the
 /// derive_seed(config.seed, base_index + i) stream, so the result is
 /// byte-identical at any worker count and across resumed runs.
 void relabel_entries(const RelabelConfig& config,

@@ -168,186 +168,6 @@ OptResult nelder_mead_maximize(const Objective& f,
   return std::move(tracker).finish(converged);
 }
 
-NelderMeadStepper::NelderMeadStepper(std::vector<double> start,
-                                     const NelderMeadConfig& config)
-    : config_(config),
-      dim_(start.size()),
-      start_(std::move(start)),
-      best_value_(-std::numeric_limits<double>::infinity()) {
-  QGNN_REQUIRE(dim_ >= 1, "empty start vector");
-  QGNN_REQUIRE(config_.max_evaluations >= static_cast<int>(dim_) + 1,
-               "evaluation budget smaller than initial simplex");
-  simplex_.reserve(dim_ + 1);
-  pending_ = start_;  // first evaluation: the start point itself
-}
-
-const std::vector<double>* NelderMeadStepper::ask() const {
-  return phase_ == Phase::kDone ? nullptr : &pending_;
-}
-
-void NelderMeadStepper::record(double value) {
-  QGNN_REQUIRE(std::isfinite(value), "objective returned non-finite value");
-  ++count_;
-  if (value > best_value_) {
-    best_value_ = value;
-    best_params_ = pending_;
-  }
-  trace_.push_back(best_value_);
-}
-
-void NelderMeadStepper::tell(double value) {
-  QGNN_REQUIRE(phase_ != Phase::kDone, "tell() after the search finished");
-  record(value);
-  const double cost = -value;
-
-  switch (phase_) {
-    case Phase::kInit: {
-      simplex_.push_back({pending_, cost});
-      ++init_index_;
-      if (init_index_ <= dim_) {
-        pending_ = start_;
-        pending_[init_index_ - 1] += config_.initial_step;
-      } else {
-        begin_iteration();
-      }
-      return;
-    }
-    case Phase::kReflect: {
-      xr_ = pending_;
-      cr_ = cost;
-      if (cr_ < simplex_.front().c) {
-        if (count_ >= config_.max_evaluations) {
-          finish(false);
-          return;
-        }
-        propose_along(config_.expansion);
-        phase_ = Phase::kExpand;
-      } else if (cr_ < simplex_[dim_ - 1].c) {
-        simplex_.back() = {xr_, cr_};
-        begin_iteration();
-      } else {
-        if (count_ >= config_.max_evaluations) {
-          finish(false);
-          return;
-        }
-        const bool outside = cr_ < simplex_.back().c;
-        const std::vector<double>& towards =
-            outside ? xr_ : simplex_.back().x;
-        xc_.resize(dim_);
-        for (std::size_t i = 0; i < dim_; ++i) {
-          xc_[i] =
-              centroid_[i] + config_.contraction * (towards[i] - centroid_[i]);
-        }
-        pending_ = xc_;
-        phase_ = Phase::kContract;
-      }
-      return;
-    }
-    case Phase::kExpand: {
-      simplex_.back() =
-          (cost < cr_) ? Vertex{pending_, cost} : Vertex{xr_, cr_};
-      begin_iteration();
-      return;
-    }
-    case Phase::kContract: {
-      if (cost < std::min(cr_, simplex_.back().c)) {
-        simplex_.back() = {xc_, cost};
-        begin_iteration();
-      } else {
-        shrink_index_ = 1;
-        propose_shrink();
-      }
-      return;
-    }
-    case Phase::kShrink: {
-      simplex_[shrink_index_].x = pending_;
-      simplex_[shrink_index_].c = cost;
-      ++shrink_index_;
-      propose_shrink();
-      return;
-    }
-    case Phase::kDone:
-      return;  // unreachable (guarded above)
-  }
-}
-
-void NelderMeadStepper::begin_iteration() {
-  if (count_ >= config_.max_evaluations) {
-    finish(false);
-    return;
-  }
-  std::sort(simplex_.begin(), simplex_.end(),
-            [](const Vertex& a, const Vertex& b) { return a.c < b.c; });
-  if (simplex_.back().c - simplex_.front().c < config_.tolerance) {
-    double diameter = 0.0;
-    for (std::size_t v = 1; v < simplex_.size(); ++v) {
-      for (std::size_t i = 0; i < dim_; ++i) {
-        diameter = std::max(diameter,
-                            std::abs(simplex_[v].x[i] - simplex_[0].x[i]));
-      }
-    }
-    if (diameter < config_.param_tolerance) {
-      finish(true);
-      return;
-    }
-  }
-  centroid_.assign(dim_, 0.0);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    for (std::size_t v = 0; v < dim_; ++v) centroid_[i] += simplex_[v].x[i];
-    centroid_[i] /= static_cast<double>(dim_);
-  }
-  propose_along(config_.reflection);
-  phase_ = Phase::kReflect;
-}
-
-void NelderMeadStepper::propose_along(double t) {
-  pending_.resize(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    pending_[i] = centroid_[i] + t * (centroid_[i] - simplex_.back().x[i]);
-  }
-}
-
-void NelderMeadStepper::propose_shrink() {
-  if (shrink_index_ >= simplex_.size() ||
-      count_ >= config_.max_evaluations) {
-    // Either the shrink pass completed or the budget ran out mid-pass; in
-    // both cases the monolithic loop falls through to the next while-top
-    // check, which begin_iteration reproduces.
-    begin_iteration();
-    return;
-  }
-  pending_.resize(dim_);
-  for (std::size_t i = 0; i < dim_; ++i) {
-    pending_[i] = simplex_[0].x[i] +
-                  config_.shrink * (simplex_[shrink_index_].x[i] -
-                                    simplex_[0].x[i]);
-  }
-  phase_ = Phase::kShrink;
-}
-
-void NelderMeadStepper::finish(bool converged) {
-  phase_ = Phase::kDone;
-  converged_ = converged;
-  if (obs::enabled()) {
-    auto& registry = obs::MetricsRegistry::global();
-    registry.counter(obs::names::kQaoaEvaluations)
-        .add(static_cast<std::uint64_t>(count_));
-    registry.counter(obs::names::kQaoaOptimizations).add(1);
-  }
-}
-
-OptResult NelderMeadStepper::take_result() {
-  QGNN_REQUIRE(phase_ == Phase::kDone, "take_result() before the search"
-                                       " finished");
-  OptResult r;
-  r.best_params = std::move(best_params_);
-  r.best_value = best_value_;
-  r.evaluations = count_;
-  r.trace = std::move(trace_);
-  r.converged = converged_;
-  return r;
-}
-
 std::vector<double> finite_difference_gradient(const Objective& f,
                                                const std::vector<double>& x,
                                                double h) {

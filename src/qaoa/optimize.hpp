@@ -50,70 +50,6 @@ OptResult nelder_mead_maximize(const Objective& f,
                                const std::vector<double>& start,
                                const NelderMeadConfig& config = {});
 
-/// Resumable ask/tell form of nelder_mead_maximize, for callers that want
-/// to schedule the objective evaluations themselves (the batched dataset
-/// factory runs K independent searches in lockstep, evaluating all K
-/// pending points in one vectorized pass). The state machine replays the
-/// monolithic implementation's evaluation sequence exactly — same points,
-/// same order, same budget cut-offs — so driving a stepper with the same
-/// objective values produces a bit-identical OptResult
-/// (test_optimize.cpp pins this equivalence).
-///
-/// Usage:
-///   NelderMeadStepper s(start, config);
-///   while (const std::vector<double>* x = s.ask()) s.tell(f(*x));
-///   OptResult r = s.take_result();
-class NelderMeadStepper {
- public:
-  NelderMeadStepper(std::vector<double> start,
-                    const NelderMeadConfig& config = {});
-
-  /// The next point to evaluate, or nullptr once the search has finished.
-  /// Repeated calls without an interleaved tell() return the same point.
-  const std::vector<double>* ask() const;
-
-  /// Report the objective value (to MAXIMIZE) at the last ask()ed point.
-  void tell(double value);
-
-  bool done() const { return phase_ == Phase::kDone; }
-  int evaluations() const { return count_; }
-
-  /// Final result; valid once done(). Leaves the stepper exhausted.
-  OptResult take_result();
-
- private:
-  enum class Phase { kInit, kReflect, kExpand, kContract, kShrink, kDone };
-  struct Vertex {
-    std::vector<double> x;
-    double c = 0.0;  // cost = -objective
-  };
-
-  void record(double value);
-  void begin_iteration();
-  void propose_along(double t);
-  void propose_shrink();
-  void finish(bool converged);
-
-  NelderMeadConfig config_;
-  std::size_t dim_ = 0;
-  Phase phase_ = Phase::kInit;
-  std::vector<Vertex> simplex_;
-  std::vector<double> start_;
-  std::vector<double> pending_;
-  std::vector<double> centroid_;
-  std::vector<double> xr_;
-  double cr_ = 0.0;
-  std::vector<double> xc_;
-  std::size_t init_index_ = 0;    // vertices of the initial simplex done
-  std::size_t shrink_index_ = 0;  // next vertex to shrink
-
-  int count_ = 0;
-  double best_value_ = 0.0;
-  std::vector<double> best_params_;
-  std::vector<double> trace_;
-  bool converged_ = false;
-};
-
 /// Adam ascent on a central-finite-difference gradient. Gradient-based
 /// alternative benchmarked against Nelder–Mead in the ablations.
 struct AdamConfig {

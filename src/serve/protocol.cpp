@@ -26,6 +26,13 @@ namespace {
 
 // ---- JSON parsing -------------------------------------------------------
 
+/// Deepest object/array nesting the parser accepts. Requests nest 3 deep
+/// (object -> "edges" array -> edge pair) and stats documents a few more;
+/// the bound keeps the recursive descent's stack use fixed, so a line of
+/// nested brackets from a client ends in a typed error, never a stack
+/// overflow.
+constexpr int kMaxJsonDepth = 64;
+
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
@@ -70,8 +77,15 @@ class JsonParser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (depth_ == kMaxJsonDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+      }
+      ++depth_;
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') {
       JsonValue v;
       v.kind = JsonValue::Kind::kString;
@@ -208,6 +222,7 @@ class JsonParser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open objects/arrays around pos_
 };
 
 void append_escaped(std::string& out, const std::string& s) {

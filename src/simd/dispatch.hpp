@@ -4,8 +4,8 @@
 // (DESIGN.md §13). One table of per-ISA function pointers (see
 // kernels.hpp) is resolved once per process from CPU features, so there
 // is exactly one CPUID/dispatch implementation in the repo; every hot
-// loop — statevector, QAOA eval engine, dataset batch workspace, GNN
-// inference — selects through it.
+// loop — statevector, QAOA eval engine, GNN inference — selects through
+// it.
 //
 // The selection can be forced two ways, both clamped to what the CPU
 // actually supports:

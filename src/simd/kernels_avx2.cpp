@@ -19,67 +19,6 @@ namespace qgnn::simd::detail {
 
 namespace {
 
-// --- split-layout helpers (dataset batch workspace) -----------------
-
-// RX butterflies for qubits 0..1, whose pairs live within one 4-double
-// register, as lane permutes plus the usual mul/add — no scalar
-// fallback passes. Every lane computes c*x + s*partner(y) (re) or
-// c*y - s*partner(x) (im), the exact scalar rounding sequence (see the
-// AVX-512 twin for the derivation).
-inline void butterflies01(__m256d r0, __m256d i0, __m256d vc, __m256d vs,
-                          __m256d* out_r, __m256d* out_i) {
-  // Qubit 0: partner lane differs in bit 0 (swap adjacent lanes).
-  __m256d pr = _mm256_permute_pd(r0, 0x5);
-  __m256d pi = _mm256_permute_pd(i0, 0x5);
-  const __m256d r1 =
-      _mm256_add_pd(_mm256_mul_pd(vc, r0), _mm256_mul_pd(vs, pi));
-  const __m256d i1 =
-      _mm256_sub_pd(_mm256_mul_pd(vc, i0), _mm256_mul_pd(vs, pr));
-  // Qubit 1: swap the 128-bit halves.
-  pr = _mm256_permute2f128_pd(r1, r1, 0x01);
-  pi = _mm256_permute2f128_pd(i1, i1, 0x01);
-  *out_r = _mm256_add_pd(_mm256_mul_pd(vc, r1), _mm256_mul_pd(vs, pi));
-  *out_i = _mm256_sub_pd(_mm256_mul_pd(vc, i1), _mm256_mul_pd(vs, pr));
-}
-
-// Pair run for qubit 2 and up (bit >= 4, a full vector per side).
-inline void split_pair_run(double* re, double* im, std::uint64_t start,
-                           std::uint64_t bit, __m256d vc, __m256d vs) {
-  double* lre = re + start;
-  double* lim = im + start;
-  double* hre = lre + bit;
-  double* him = lim + bit;
-  for (std::uint64_t x = 0; x < bit; x += 4) {
-    const __m256d lr = _mm256_loadu_pd(lre + x);
-    const __m256d li = _mm256_loadu_pd(lim + x);
-    const __m256d hr = _mm256_loadu_pd(hre + x);
-    const __m256d hm = _mm256_loadu_pd(him + x);
-    _mm256_storeu_pd(lre + x, _mm256_add_pd(_mm256_mul_pd(vc, lr),
-                                            _mm256_mul_pd(vs, hm)));
-    _mm256_storeu_pd(lim + x, _mm256_sub_pd(_mm256_mul_pd(vc, li),
-                                            _mm256_mul_pd(vs, hr)));
-    _mm256_storeu_pd(hre + x, _mm256_add_pd(_mm256_mul_pd(vc, hr),
-                                            _mm256_mul_pd(vs, li)));
-    _mm256_storeu_pd(him + x, _mm256_sub_pd(_mm256_mul_pd(vc, hm),
-                                            _mm256_mul_pd(vs, lr)));
-  }
-}
-
-// Gather the phase-table entries for 4 consecutive states. Masked
-// gather with an all-ones mask and explicit zero source: same loads as
-// the plain form, but avoids _mm256_undefined_pd, which GCC 12 flags
-// with -Wmaybe-uninitialized.
-inline void gather_phases(const std::uint16_t* lev, std::uint64_t k,
-                          const double* tab_re, const double* tab_im,
-                          __m256d* tr, __m256d* ti) {
-  const __m128i lev16 =
-      _mm_loadl_epi64(reinterpret_cast<const __m128i*>(lev + k));
-  const __m128i idx = _mm_cvtepu16_epi32(lev16);
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  *tr = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), tab_re, idx, ones, 8);
-  *ti = _mm256_mask_i32gather_pd(_mm256_setzero_pd(), tab_im, idx, ones, 8);
-}
-
 // --- interleaved-layout helpers (statevector) -----------------------
 
 // Sign masks for XOR-based sign flips. Flipping the sign bit is exact,
@@ -131,56 +70,6 @@ inline __m256d complex_mul_interleaved(__m256d v, __m256d t, __m256d sign) {
 }
 
 }  // namespace
-
-// --- split-layout kernels -------------------------------------------
-
-void cost_layer_split_avx2(double* re, double* im, const std::uint16_t* lev,
-                           const double* tab_re, const double* tab_im,
-                           std::uint64_t dim) {
-  std::uint64_t k = 0;
-  for (; k + 4 <= dim; k += 4) {
-    __m256d tr;
-    __m256d ti;
-    gather_phases(lev, k, tab_re, tab_im, &tr, &ti);
-    const __m256d r = _mm256_loadu_pd(re + k);
-    const __m256d i = _mm256_loadu_pd(im + k);
-    const __m256d nr =
-        _mm256_sub_pd(_mm256_mul_pd(r, tr), _mm256_mul_pd(i, ti));
-    const __m256d ni =
-        _mm256_add_pd(_mm256_mul_pd(r, ti), _mm256_mul_pd(i, tr));
-    _mm256_storeu_pd(re + k, nr);
-    _mm256_storeu_pd(im + k, ni);
-  }
-  impl::cost_run_scalar(re, im, lev, tab_re, tab_im, k, dim);
-}
-
-void mixer_layer_split_avx2(double* re, double* im, int n, double c,
-                            double s) {
-  const __m256d vc = _mm256_set1_pd(c);
-  const __m256d vs = _mm256_set1_pd(s);
-  if (n < 2) {
-    // Too few qubits for an in-register butterfly over a full vector.
-    impl::mixer_sweep(n, [&](std::uint64_t start, std::uint64_t bit) {
-      impl::mixer_run_scalar(re, im, start, bit, c, s);
-    });
-    return;
-  }
-  impl::mixer_sweep_fused(
-      n, 2,
-      [&](std::uint64_t start, std::uint64_t len) {
-        for (std::uint64_t x = start; x < start + len; x += 4) {
-          __m256d r;
-          __m256d i;
-          butterflies01(_mm256_loadu_pd(re + x), _mm256_loadu_pd(im + x), vc,
-                        vs, &r, &i);
-          _mm256_storeu_pd(re + x, r);
-          _mm256_storeu_pd(im + x, i);
-        }
-      },
-      [&](std::uint64_t start, std::uint64_t bit) {
-        split_pair_run(re, im, start, bit, vc, vs);
-      });
-}
 
 // --- interleaved-layout kernels -------------------------------------
 

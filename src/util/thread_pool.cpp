@@ -91,6 +91,10 @@ void ThreadPool::worker_loop() {
       wake_.wait(lk, [&] {
         return stop_ || (job_ != nullptr && job_epoch_ != seen_epoch);
       });
+      // Return before the idle accounting: the global pool is destroyed
+      // at exit after the function-local metrics registry that
+      // obs_idle_us_ points into.
+      if (stop_) return;
       if (timed) {
         const auto idle_us =
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -100,7 +104,6 @@ void ThreadPool::worker_loop() {
                                   std::memory_order_relaxed);
         obs_idle_us_->add(static_cast<std::uint64_t>(idle_us));
       }
-      if (stop_) return;
       seen_epoch = job_epoch_;
       job = job_;
     }

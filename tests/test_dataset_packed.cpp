@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "dataset/dataset.hpp"
+#include "dataset/factory.hpp"
 #include "dataset/packed.hpp"
 #include "dataset/storage.hpp"
 #include "util/error.hpp"
@@ -189,6 +190,15 @@ TEST(PackedDataset, GoldenFileStaysByteStable) {
   EXPECT_EQ(reader.size(), 6u);
   EXPECT_EQ(reader.depth(), 1);
   expect_entries_equal(reader.read_all(), entries);
+
+  // The factory labels through the same per-item path, so its output
+  // file is the golden file byte for byte.
+  const fs::path factory_out = temp_file("golden_factory.qds");
+  ASSERT_TRUE(run_dataset_factory(golden_config(), {}, factory_out.string()));
+  EXPECT_EQ(read_bytes(factory_out), expect)
+      << "run_dataset_factory(golden_config()) drifted from the committed "
+         "golden file";
+  fs::remove(factory_out);
 }
 
 // --- Corruption matrix -----------------------------------------------------

@@ -1,8 +1,9 @@
-// Batched dataset factory conformance (dataset/factory.hpp): the batched
-// engine must reproduce generate_dataset bit-for-bit, stay byte-identical
-// at every thread count and lane width, and survive a kill-and-resume
-// cycle (re-executing this binary, like test_determinism does) with a
+// Dataset factory conformance (dataset/factory.hpp): the factory's output
+// file must hold exactly generate_dataset's records, stay byte-identical
+// at every thread count, and survive a kill-and-resume cycle
+// (re-executing this binary, like test_determinism does) with a
 // byte-identical final file.
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -47,60 +48,42 @@ std::string read_bytes(const fs::path& path) {
   return std::move(buf).str();
 }
 
-TEST(DatasetFactory, BatchedMatchesSequentialBitForBit) {
-  DatasetGenConfig config = tiny_config();
-  config.num_instances = 20;
-  config.max_nodes = 9;
-  config.seed = 11;
-
-  const auto sequential = generate_dataset(config);
-  const auto batched = generate_dataset_batched(config);
-  EXPECT_EQ(pack_dataset(batched), pack_dataset(sequential))
-      << "batched labelling drifted from generate_dataset";
-}
-
-TEST(DatasetFactory, LaneWidthNeverChangesTheBytes) {
-  const DatasetGenConfig config = tiny_config();
-  const auto reference = pack_dataset(generate_dataset_batched(config));
-  for (const int lanes : {1, 3, 8, 64}) {
-    FactoryConfig factory;
-    factory.lanes = lanes;
-    EXPECT_EQ(pack_dataset(generate_dataset_batched(config, factory)),
-              reference)
-        << "lanes=" << lanes;
-  }
-}
-
 TEST(DatasetFactory, ThreadCountNeverChangesTheBytes) {
   const DatasetGenConfig config = tiny_config();
-  const auto reference = pack_dataset(generate_dataset_batched(config));
+  const fs::path base = temp_dir("threads");
+  fs::remove_all(base);
+  fs::create_directories(base);
+  const fs::path ref = base / "ref.qds";
+  ASSERT_TRUE(run_dataset_factory(config, {}, ref.string()));
+  const std::string expect = read_bytes(ref);
+  const std::vector<std::uint8_t> packed =
+      pack_dataset(generate_dataset(config));
+  EXPECT_EQ(expect, std::string(packed.begin(), packed.end()))
+      << "factory output drifted from generate_dataset";
   for (const int threads : {1, 2, 8}) {
     ThreadPool::set_global_threads(threads);
-    EXPECT_EQ(pack_dataset(generate_dataset_batched(config)), reference)
-        << "threads=" << threads;
+    const fs::path out = base / ("t" + std::to_string(threads) + ".qds");
+    ASSERT_TRUE(run_dataset_factory(config, {}, out.string()));
+    EXPECT_EQ(read_bytes(out), expect) << "threads=" << threads;
   }
   ThreadPool::set_global_threads(ThreadPool::configured_threads());
-}
-
-TEST(DatasetFactory, AdamFallbackMatchesSequential) {
-  DatasetGenConfig config = tiny_config();
-  config.num_instances = 4;
-  config.optimizer = QaoaOptimizer::kAdam;
-  config.optimizer_evaluations = 15;
-  EXPECT_EQ(pack_dataset(generate_dataset_batched(config)),
-            pack_dataset(generate_dataset(config)));
+  fs::remove_all(base);
 }
 
 TEST(DatasetFactory, ProgressReachesTotal) {
   const DatasetGenConfig config = tiny_config();
+  const fs::path base = temp_dir("progress");
+  fs::remove_all(base);
+  fs::create_directories(base);
   int last = 0;
-  const auto entries = generate_dataset_batched(
-      config, {}, [&](int done, int total) {
-        EXPECT_LE(done, total);
+  ASSERT_TRUE(run_dataset_factory(
+      config, {}, (base / "out.qds").string(), [&](int done, int total) {
+        EXPECT_EQ(total, 12);
+        EXPECT_EQ(done, last + 1);
         last = done;
-      });
-  EXPECT_EQ(entries.size(), 12u);
+      }));
   EXPECT_EQ(last, 12);
+  fs::remove_all(base);
 }
 
 TEST(DatasetFactory, StopAfterShardsThenResumeIsByteIdentical) {

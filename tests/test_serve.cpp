@@ -514,6 +514,32 @@ TEST(Serve, UnknownCmdProducesErrorResponse) {
             std::string::npos);
 }
 
+TEST(Serve, DeeplyNestedLineGetsErrorAndStreamContinues) {
+  // One line of 100k '[' is a fifth of the framer's line cap; unbounded
+  // recursive descent overflowed the stack on it. It must instead get a
+  // typed error line, and the next request on the same stream an answer.
+  ServeHandle serve;
+  serve.register_model("default", make_model(GnnArch::kGCN, 23));
+  std::istringstream in(std::string(100000, '[') + "\n" +
+                        "{\"id\": 2, \"nodes\": 3, "
+                        "\"edges\": [[0,1],[1,2],[2,0]]}\n");
+  std::ostringstream out;
+  EXPECT_EQ(serve::run_ndjson_server(in, out, serve), 2u);
+
+  std::istringstream lines(out.str());
+  std::string line;
+  std::vector<serve::JsonValue> responses;
+  while (std::getline(lines, line)) {
+    responses.push_back(serve::parse_json(line));
+  }
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(responses[0].find("ok")->boolean);
+  EXPECT_NE(responses[0].find("error")->string.find("bad JSON at offset"),
+            std::string::npos);
+  EXPECT_EQ(responses[1].find("id")->number, 2.0);
+  EXPECT_TRUE(responses[1].find("ok")->boolean);
+}
+
 TEST(Serve, ConcurrentPredictAccountingIsExact) {
   ObsEnabledGuard obs_guard;
   obs::set_enabled(true);
@@ -564,6 +590,10 @@ TEST(Serve, JsonParserRejectsGarbage) {
   EXPECT_THROW(serve::parse_json("[1,2,]"), InvalidArgument);
   EXPECT_THROW(serve::parse_json("12abc"), InvalidArgument);
   EXPECT_THROW(serve::parse_json("{} trailing"), InvalidArgument);
+  EXPECT_THROW(serve::parse_json(std::string(100000, '[')), InvalidArgument);
+  EXPECT_TRUE(
+      serve::parse_json(std::string(10, '[') + std::string(10, ']'))
+          .is_array());
   EXPECT_EQ(serve::parse_json("[1, 2.5, -3e2]").array.size(), 3u);
   EXPECT_EQ(serve::parse_json("\"a\\nb\"").string, "a\nb");
 }

@@ -152,37 +152,6 @@ TEST(SimdDispatch, DefaultConfigIsBitIdenticalTier) {
 // ---------------------------------------------------------------------------
 // Bit-identical tier: every ported kernel, forced-ISA vs generic.
 
-TEST(SimdKernels, CostLayerSplitBitIdentical) {
-  const std::uint64_t dim = (1u << 10) - 3;  // odd tail
-  std::vector<std::uint16_t> lev(dim);
-  for (std::uint64_t k = 0; k < dim; ++k) {
-    lev[k] = static_cast<std::uint16_t>((k * 7 + 3) % 64);
-  }
-  std::vector<double> tab_re(64), tab_im(64);
-  for (int l = 0; l < 64; ++l) {
-    tab_re[l] = std::cos(0.11 * l);
-    tab_im[l] = -std::sin(0.11 * l);
-  }
-  check_bit_identical("cost_layer_split", [&] {
-    auto re = test_values(dim, 0.1);
-    auto im = test_values(dim, 1.9);
-    simd::cost_layer_split()(re.data(), im.data(), lev.data(), tab_re.data(),
-                             tab_im.data(), dim);
-    return std::vector<std::vector<double>>{re, im};
-  });
-}
-
-TEST(SimdKernels, MixerLayerSplitBitIdentical) {
-  const int n = 10;
-  const double c = std::cos(0.37), s = std::sin(0.37);
-  check_bit_identical("mixer_layer_split", [&] {
-    auto re = test_values(std::size_t{1} << n, 0.4);
-    auto im = test_values(std::size_t{1} << n, 2.2);
-    simd::mixer_layer_split()(re.data(), im.data(), n, c, s);
-    return std::vector<std::vector<double>>{re, im};
-  });
-}
-
 TEST(SimdKernels, PhaseTableBitIdentical) {
   const std::uint64_t dim = 1u << 10;
   std::vector<std::uint16_t> lev(dim);
