@@ -69,8 +69,8 @@ void BM_QaoaExpectationExplicitCircuit(benchmark::State& state) {
   const QaoaAnsatz ansatz(g);
   const QaoaParams params = QaoaParams::single(0.6, 0.35);
   for (auto _ : state) {
-    const StateVector s = ansatz.build_circuit(params).simulate_from_plus();
-    benchmark::DoNotOptimize(ansatz.cost().expectation(s));
+    const StateVector s = maxcut_qaoa_circuit(g, params).simulate_from_plus();
+    benchmark::DoNotOptimize(ansatz.engine().expectation_of(s));
   }
 }
 BENCHMARK(BM_QaoaExpectationExplicitCircuit)->DenseRange(6, 14, 2);
@@ -79,8 +79,9 @@ void BM_CostHamiltonianBuild(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const Graph g = bench_graph(n, 3);
   for (auto _ : state) {
-    CostHamiltonian cost(g);
-    benchmark::DoNotOptimize(cost.max_value());
+    // Cut table plus engine (phase-table index and optimum scan).
+    const QaoaAnsatz ansatz(g);
+    benchmark::DoNotOptimize(ansatz.engine().max_value());
   }
 }
 BENCHMARK(BM_CostHamiltonianBuild)->DenseRange(6, 16, 2);
@@ -249,11 +250,11 @@ void BM_QaoaEngineEval(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(depth);
   EvalWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.engine().expectation(params, ws));
+    benchmark::DoNotOptimize(ansatz.engine().expectation(params, ws));
   }
   state.counters["qubits"] = n;
   state.counters["depth"] = depth;
@@ -268,10 +269,10 @@ void BM_QaoaGenericEval(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(depth);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.engine().expectation_reference(params));
+    benchmark::DoNotOptimize(ansatz.engine().expectation_reference(params));
   }
   state.counters["qubits"] = n;
   state.counters["depth"] = depth;
@@ -286,11 +287,11 @@ void BM_QaoaEngineEvalThreads(benchmark::State& state) {
   ThreadPool::set_global_threads(threads);
   // 18 qubits, matching the kThreadSweepQubits sweeps below.
   const Graph g = bench_graph(18, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(1);
   EvalWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.engine().expectation(params, ws));
+    benchmark::DoNotOptimize(ansatz.engine().expectation(params, ws));
   }
   state.counters["threads"] = threads;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -304,13 +305,13 @@ void BM_QaoaAdjointGradient(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(depth);
   EvalWorkspace ws;
   std::vector<double> grad;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        cost.engine().value_and_gradient(params, grad, ws));
+        ansatz.engine().value_and_gradient(params, grad, ws));
   }
   state.counters["qubits"] = n;
   state.counters["depth"] = depth;
@@ -329,10 +330,10 @@ void BM_QaoaFdGradient(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int depth = static_cast<int>(state.range(1));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   EvalWorkspace ws;
-  const Objective f = [&cost, &ws](const std::vector<double>& flat) {
-    return cost.engine().expectation(QaoaParams::from_flat(flat), ws);
+  const Objective f = [&ansatz, &ws](const std::vector<double>& flat) {
+    return ansatz.engine().expectation(QaoaParams::from_flat(flat), ws);
   };
   const std::vector<double> x = bench_params(depth).flatten();
   for (auto _ : state) {
@@ -509,11 +510,11 @@ void BM_QaoaEngineEvalIsa(benchmark::State& state) {
   ThreadPool::set_global_threads(1);
   const int n = static_cast<int>(state.range(0));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const QaoaParams params = bench_params(1);
   EvalWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cost.engine().expectation(params, ws));
+    benchmark::DoNotOptimize(ansatz.engine().expectation(params, ws));
   }
   state.counters["qubits"] = n;
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -545,11 +546,11 @@ void BM_PhaseTableIsa(benchmark::State& state) {
   ThreadPool::set_global_threads(1);
   const int n = static_cast<int>(state.range(0));
   const Graph g = bench_graph(n, 3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   StateVector s = StateVector::plus_state(n);
   std::vector<Amplitude> table;
   for (auto _ : state) {
-    cost.engine().apply_cost_layer(s, 0.6, table);
+    ansatz.engine().apply_cost_layer(s, 0.6, table);
     benchmark::DoNotOptimize(s.mutable_amplitudes().data());
   }
   state.counters["qubits"] = n;

@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   std::cout << "\nthe identical warm-start machinery (fixed angles, GNN "
-               "prediction) plugs into DiagonalQaoa for any Ising/QUBO "
+               "prediction) plugs into the QAOA engine that "
+               "IsingModel::to_qaoa() returns for any Ising/QUBO "
                "instance.\n";
   return 0;
 }

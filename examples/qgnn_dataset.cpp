@@ -12,13 +12,15 @@
 // depth/evals/optimizer/symmetrize/seed) — never on --threads,
 // --checkpoint-every, or whether the run was interrupted and resumed.
 //
-// Exit codes: 0 success, 1 usage/config error, 2 I/O or data error,
-// 3 stopped early via --stop-after-shards (resume to continue).
+// Exit codes: 0 success, 1 usage/config error (including any flag the
+// chosen mode does not read), 2 I/O or data error, 3 stopped early via
+// --stop-after-shards (resume to continue).
 
 #include <cstdio>
 #include <exception>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "dataset/factory.hpp"
 #include "dataset/packed.hpp"
@@ -50,6 +52,18 @@ void print_usage(const char* prog) {
       << "                       when --checkpoint-dir is set)\n"
       << "  --resume             continue from the manifest in the dir\n"
       << "  --stop-after-shards N  commit N shards then exit 3 (CI hook)\n";
+}
+
+/// False (after naming each one on stderr) when the command line holds a
+/// flag the program never read: a typo or a retired option must fail the
+/// run, not silently fall back to a default.
+bool all_flags_read(const qgnn::CliArgs& args) {
+  const std::vector<std::string> unread = args.unread();
+  if (unread.empty()) return true;
+  std::cerr << "error: unknown flag(s):";
+  for (const std::string& key : unread) std::cerr << " --" << key;
+  std::cerr << "\n";
+  return false;
 }
 
 int inspect(const std::string& path) {
@@ -112,7 +126,9 @@ int main(int argc, char** argv) {
 
   try {
     if (args.has("inspect")) {
-      return inspect(args.get("inspect", ""));
+      const std::string path = args.get("inspect", "");
+      if (!all_flags_read(args)) return 1;
+      return inspect(path);
     }
 
     const std::string out = args.get("out", "");
@@ -154,6 +170,8 @@ int main(int argc, char** argv) {
 
     int last_percent = -1;
     const bool quiet = args.get_bool("quiet", false);
+    if (!all_flags_read(args)) return 1;
+
     ProgressFn progress = [&](int done, int total) {
       const int percent = total > 0 ? done * 100 / total : 100;
       if (!quiet && percent != last_percent) {

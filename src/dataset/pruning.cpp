@@ -1,5 +1,6 @@
 #include "dataset/pruning.hpp"
 
+#include "maxcut/maxcut.hpp"
 #include "qaoa/fixed_angles.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -53,8 +54,7 @@ FixedAngleAuditReport fixed_angle_label_audit(
     ++report.covered;
     QaoaAnsatz ansatz(e.graph);
     const double expectation = ansatz.expectation(*angles);
-    const double ar =
-        e.optimum > 0.0 ? expectation / e.optimum : 1.0;
+    const double ar = approximation_ratio(expectation, e.optimum);
     if (ar > e.approximation_ratio) {
       deltas.add(ar - e.approximation_ratio);
       e.label = canonicalize_params(*angles);

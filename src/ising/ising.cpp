@@ -86,10 +86,10 @@ IsingModel::GroundState IsingModel::ground_state() const {
   return gs;
 }
 
-DiagonalQaoa IsingModel::to_qaoa() const {
+QaoaEvalEngine IsingModel::to_qaoa() const {
   std::vector<double> diag = energies();
   for (double& v : diag) v = -v;  // QAOA maximizes
-  return DiagonalQaoa(num_spins_, std::move(diag));
+  return QaoaEvalEngine(num_spins_, std::move(diag));
 }
 
 std::string IsingModel::describe() const {
@@ -158,10 +158,11 @@ IsingQaoaResult solve_ising_qaoa(const IsingModel& model, int depth,
                                  int max_evaluations, int shots, Rng& rng) {
   QGNN_REQUIRE(depth >= 1, "depth must be at least 1");
   QGNN_REQUIRE(shots >= 1, "need at least one shot");
-  const DiagonalQaoa qaoa = model.to_qaoa();
+  const QaoaEvalEngine engine = model.to_qaoa();
+  EvalWorkspace ws;
 
-  const Objective f = [&qaoa](const std::vector<double>& x) {
-    return qaoa.expectation(QaoaParams::from_flat(x));
+  const Objective f = [&engine, &ws](const std::vector<double>& x) {
+    return engine.expectation(QaoaParams::from_flat(x), ws);
   };
   std::vector<double> start(static_cast<std::size_t>(2 * depth));
   for (auto& v : start) v = rng.uniform(0.0, 1.0);
@@ -174,7 +175,7 @@ IsingQaoaResult solve_ising_qaoa(const IsingModel& model, int depth,
   result.expectation_energy = -opt.best_value;
   result.evaluations = opt.evaluations;
 
-  const StateVector state = qaoa.prepare_state(result.params);
+  const StateVector& state = engine.prepare_state(result.params, ws);
   result.best_configuration = state.sample(rng);
   result.best_energy = model.energy(result.best_configuration);
   for (int s = 1; s < shots; ++s) {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "qaoa/diagonal_qaoa.hpp"
+#include "qaoa/eval_engine.hpp"
 #include "qaoa/optimize.hpp"
 #include "util/rng.hpp"
 
@@ -48,8 +48,8 @@ class IsingModel {
   GroundState ground_state() const;
 
   /// QAOA solver: since QAOA here maximizes, the objective is -E. Returns
-  /// a DiagonalQaoa whose argmax is the ground state.
-  DiagonalQaoa to_qaoa() const;
+  /// an engine over the 2^n values of -E, whose argmax is the ground state.
+  QaoaEvalEngine to_qaoa() const;
 
   std::string describe() const;
 

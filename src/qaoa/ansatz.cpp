@@ -1,5 +1,6 @@
 #include "qaoa/ansatz.hpp"
 
+#include "maxcut/maxcut.hpp"
 #include "util/error.hpp"
 
 namespace qgnn {
@@ -29,13 +30,48 @@ QaoaParams QaoaParams::single(double gamma, double beta) {
   return QaoaParams({gamma}, {beta});
 }
 
-QaoaAnsatz::QaoaAnsatz(const Graph& g) : graph_(g), cost_(g) {}
+std::vector<double> maxcut_diagonal(const Graph& g) {
+  QGNN_REQUIRE(g.num_nodes() >= 1 && g.num_nodes() <= kMaxQubits,
+               "graph size out of simulable range [1, kMaxQubits] nodes");
+  const std::uint64_t dim = std::uint64_t{1} << g.num_nodes();
+  std::vector<double> diag(dim, 0.0);
+  // Incremental per-edge accumulation: for each edge, add w to all states
+  // where the endpoints differ. O(2^n * m) total, done once per graph.
+  for (const Edge& e : g.edges()) {
+    const std::uint64_t ub = std::uint64_t{1} << e.u;
+    const std::uint64_t vb = std::uint64_t{1} << e.v;
+    for (std::uint64_t x = 0; x < dim; ++x) {
+      if (((x & ub) != 0) != ((x & vb) != 0)) diag[x] += e.weight;
+    }
+  }
+  return diag;
+}
+
+Circuit maxcut_qaoa_circuit(const Graph& g, const QaoaParams& params) {
+  Circuit c(g.num_nodes());
+  for (int layer = 0; layer < params.depth(); ++layer) {
+    // Cost layer: e^{-i gamma w (1 - Z_u Z_v)/2} per edge; the Z.Z part is
+    // RZZ(-gamma w)... note e^{-i gamma C} = prod_e e^{-i gamma w/2}
+    // e^{+i gamma w Z_u Z_v / 2}; the scalar factor is a global phase, and
+    // the operator part is RZZ with angle -gamma*w.
+    for (const Edge& e : g.edges()) {
+      c.rzz(e.u, e.v, -params.gammas[layer] * e.weight);
+    }
+    for (int q = 0; q < g.num_nodes(); ++q) {
+      c.rx(q, 2.0 * params.betas[layer]);
+    }
+  }
+  return c;
+}
+
+QaoaAnsatz::QaoaAnsatz(const Graph& g)
+    : engine_(g.num_nodes(), maxcut_diagonal(g)) {}
 
 StateVector QaoaAnsatz::prepare_state(const QaoaParams& params) const {
   QGNN_REQUIRE(params.depth() >= 1, "QAOA depth must be at least 1");
   StateVector state = StateVector::plus_state(num_qubits());
   std::vector<Amplitude> table;
-  cost_.engine().apply_ansatz(state, params, table);
+  engine_.apply_ansatz(state, params, table);
   return state;
 }
 
@@ -43,30 +79,11 @@ double QaoaAnsatz::expectation(const QaoaParams& params) const {
   // Runs inside the calling thread's workspace: optimizer loops and the
   // parallel dataset labeller evaluate thousands of parameter points with
   // zero per-evaluation statevector allocations.
-  return cost_.engine().expectation(params);
+  return engine_.expectation(params);
 }
 
 double QaoaAnsatz::approximation_ratio(const QaoaParams& params) const {
-  const double opt = cost_.max_value();
-  if (opt == 0.0) return 1.0;
-  return expectation(params) / opt;
-}
-
-Circuit QaoaAnsatz::build_circuit(const QaoaParams& params) const {
-  Circuit c(num_qubits());
-  for (int layer = 0; layer < params.depth(); ++layer) {
-    // Cost layer: e^{-i gamma w (1 - Z_u Z_v)/2} per edge; the Z.Z part is
-    // RZZ(-gamma w)... note e^{-i gamma C} = prod_e e^{-i gamma w/2}
-    // e^{+i gamma w Z_u Z_v / 2}; the scalar factor is a global phase, and
-    // the operator part is RZZ with angle -gamma*w.
-    for (const Edge& e : graph_.edges()) {
-      c.rzz(e.u, e.v, -params.gammas[layer] * e.weight);
-    }
-    for (int q = 0; q < num_qubits(); ++q) {
-      c.rx(q, 2.0 * params.betas[layer]);
-    }
-  }
-  return c;
+  return qgnn::approximation_ratio(expectation(params), engine_.max_value());
 }
 
 }  // namespace qgnn

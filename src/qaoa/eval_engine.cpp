@@ -59,21 +59,31 @@ QaoaEvalEngine::QaoaEvalEngine(int num_qubits, std::vector<double> diagonal,
 }
 
 void QaoaEvalEngine::build_levels(std::size_t max_levels) {
-  // Fast path for Max-Cut style diagonals: small non-negative integers
-  // index the table directly, no sort and no per-state binary search.
+  // One pass finds the optimum (first index of the largest entry) and
+  // decides the fast path for Max-Cut style diagonals: small non-negative
+  // integers index the table directly, no sort and no per-state binary
+  // search.
+  bool finite = true;
   bool small_ints = true;
-  double max_val = 0.0;
-  for (double v : diag_) {
-    if (!std::isfinite(v)) return;  // NaN/inf: table off, generic path only
-    if (v < 0.0 || v != std::floor(v) ||
-        v >= static_cast<double>(kDefaultMaxLevels)) {
+  max_value_ = diag_[0];
+  argmax_ = 0;
+  for (std::size_t k = 0; k < diag_.size(); ++k) {
+    const double v = diag_[k];
+    if (v > max_value_) {
+      max_value_ = v;
+      argmax_ = k;
+    }
+    if (!std::isfinite(v)) {
+      finite = false;
+    } else if (v < 0.0 || v != std::floor(v) ||
+               v >= static_cast<double>(kDefaultMaxLevels)) {
       small_ints = false;
     }
-    max_val = std::max(max_val, v);
   }
+  if (!finite) return;  // NaN/inf: table off, generic path only
   if (small_ints &&
-      static_cast<std::size_t>(max_val) + 1 <= max_levels) {
-    const std::size_t count = static_cast<std::size_t>(max_val) + 1;
+      static_cast<std::size_t>(max_value_) + 1 <= max_levels) {
+    const std::size_t count = static_cast<std::size_t>(max_value_) + 1;
     levels_.resize(count);
     for (std::size_t l = 0; l < count; ++l) {
       levels_[l] = static_cast<double>(l);

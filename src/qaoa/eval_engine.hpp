@@ -78,21 +78,19 @@ class QaoaEvalEngine {
   std::uint64_t dimension() const { return std::uint64_t{1} << num_qubits_; }
   std::span<const double> diagonal() const { return diag_; }
 
+  /// Largest diagonal entry: the exact optimum of the maximized cost
+  /// (the Max-Cut value for a cut diagonal). Computed once, in the
+  /// constructor's pass over the diagonal.
+  double max_value() const { return max_value_; }
+  /// The first basis state achieving max_value(), scanning from index 0.
+  std::uint64_t argmax() const { return argmax_; }
+
   /// True when the quantized cost layer is in use.
   bool phase_table_active() const { return !level_of_.empty(); }
   /// Number of phase-table entries (0 when the table is inactive). For
   /// the small-integer fast path this is max(diag)+1, a superset of the
   /// distinct values; for the sorted path it is the exact distinct count.
   std::size_t num_levels() const { return levels_.size(); }
-  /// The distinct diagonal values the phase table quantizes onto (empty
-  /// when the table is inactive). The batched dataset factory builds its
-  /// per-lane tables from these, with the same -gamma*level expression as
-  /// build_phase_table, so lane results match this engine bit-for-bit.
-  std::span<const double> levels() const { return levels_; }
-  /// Per-state level index into levels() (empty when the table is
-  /// inactive); the factory interleaves K engines' indices into its
-  /// structure-of-arrays layout.
-  std::span<const std::uint16_t> level_index() const { return level_of_; }
 
   /// Apply e^{-i gamma D} to `state` (phase table when active, generic
   /// sincos otherwise). `table_scratch` holds the per-gamma table.
@@ -139,6 +137,8 @@ class QaoaEvalEngine {
 
   int num_qubits_;
   std::vector<double> diag_;
+  double max_value_ = 0.0;
+  std::uint64_t argmax_ = 0;
   std::vector<double> levels_;          // distinct diagonal values
   std::vector<std::uint16_t> level_of_; // per-state level index; empty =>
                                         // table inactive

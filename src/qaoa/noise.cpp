@@ -10,9 +10,10 @@ double sampled_expectation(const QaoaAnsatz& ansatz, const QaoaParams& params,
                            int shots, Rng& rng) {
   QGNN_REQUIRE(shots >= 1, "need at least one shot");
   const StateVector state = ansatz.prepare_state(params);
+  const std::span<const double> diag = ansatz.engine().diagonal();
   double total = 0.0;
   for (int s = 0; s < shots; ++s) {
-    total += ansatz.cost().value(state.sample(rng));
+    total += diag[state.sample(rng)];
   }
   return total / static_cast<double>(shots);
 }
@@ -72,12 +73,12 @@ double noisy_expectation(const Graph& g, const QaoaParams& params,
                          const NoiseModel& noise, int trajectories,
                          Rng& rng) {
   QGNN_REQUIRE(trajectories >= 1, "need at least one trajectory");
-  const CostHamiltonian cost(g);
+  const std::vector<double> diag = maxcut_diagonal(g);
   if (noise.is_noiseless()) trajectories = 1;
   double total = 0.0;
   for (int t = 0; t < trajectories; ++t) {
     const StateVector state = noisy_qaoa_trajectory(g, params, noise, rng);
-    total += cost.expectation(state);
+    total += state.expectation_diagonal(diag);
   }
   return total / static_cast<double>(trajectories);
 }
@@ -107,8 +108,7 @@ double exact_noisy_expectation(const Graph& g, const QaoaParams& params,
       }
     }
   }
-  const CostHamiltonian cost(g);
-  return rho.expectation_diagonal(cost.diagonal());
+  return rho.expectation_diagonal(maxcut_diagonal(g));
 }
 
 }  // namespace qgnn

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "maxcut/maxcut.hpp"
 #include "quantum/gates.hpp"
 #include "util/error.hpp"
 
@@ -9,8 +10,7 @@ namespace qgnn {
 
 WarmStartAnsatz::WarmStartAnsatz(const Graph& g, std::uint64_t classical_cut,
                                  double regularization)
-    : graph_(g),
-      cost_(g),
+    : engine_(g.num_nodes(), maxcut_diagonal(g)),
       classical_cut_(classical_cut),
       regularization_(regularization) {
   QGNN_REQUIRE(regularization > 0.0 && regularization <= 0.5,
@@ -34,30 +34,21 @@ StateVector WarmStartAnsatz::initial_state() const {
 
 StateVector WarmStartAnsatz::prepare_state(const QaoaParams& params) const {
   StateVector state = initial_state();
-  for (int layer = 0; layer < params.depth(); ++layer) {
-    cost_.apply_phase(state,
-                      params.gammas[static_cast<std::size_t>(layer)]);
-    const auto rx =
-        gates::rx(2.0 * params.betas[static_cast<std::size_t>(layer)]);
-    for (int q = 0; q < num_qubits(); ++q) {
-      state.apply_single_qubit(rx, q);
-    }
-  }
+  std::vector<Amplitude> table;
+  engine_.apply_ansatz(state, params, table);
   return state;
 }
 
 double WarmStartAnsatz::expectation(const QaoaParams& params) const {
-  return cost_.expectation(prepare_state(params));
+  return engine_.expectation_of(prepare_state(params));
 }
 
 double WarmStartAnsatz::approximation_ratio(const QaoaParams& params) const {
-  const double opt = cost_.max_value();
-  if (opt == 0.0) return 1.0;
-  return expectation(params) / opt;
+  return qgnn::approximation_ratio(expectation(params), engine_.max_value());
 }
 
 double WarmStartAnsatz::initial_expectation() const {
-  return cost_.expectation(initial_state());
+  return engine_.expectation_of(initial_state());
 }
 
 }  // namespace qgnn

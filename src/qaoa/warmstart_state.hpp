@@ -24,14 +24,15 @@ class WarmStartAnsatz {
   WarmStartAnsatz(const Graph& g, std::uint64_t classical_cut,
                   double regularization = 0.25);
 
-  const CostHamiltonian& cost() const { return cost_; }
-  int num_qubits() const { return cost_.num_qubits(); }
+  const QaoaEvalEngine& engine() const { return engine_; }
+  int num_qubits() const { return engine_.num_qubits(); }
   double regularization() const { return regularization_; }
 
   /// The biased initial product state (before any QAOA layer).
   StateVector initial_state() const;
 
-  /// Apply p QAOA layers (cost phase + RX mixer) to the biased state.
+  /// Apply p QAOA layers (cost phase + RX mixer) to the biased state, with
+  /// the same engine kernels QaoaAnsatz runs from |+>^n.
   StateVector prepare_state(const QaoaParams& params) const;
 
   double expectation(const QaoaParams& params) const;
@@ -42,8 +43,7 @@ class WarmStartAnsatz {
   double initial_expectation() const;
 
  private:
-  Graph graph_;
-  CostHamiltonian cost_;
+  QaoaEvalEngine engine_;
   std::uint64_t classical_cut_;
   double regularization_;
 };

@@ -83,7 +83,7 @@ class PauliSum {
 
 /// The Max-Cut cost Hamiltonian as an explicit Pauli sum:
 ///   C = sum_{(u,v)} w/2 * (I - Z_u Z_v).
-/// Equals CostHamiltonian's diagonal (verified in tests); exists so the
+/// Equals maxcut_diagonal(g) (verified in tests); exists so the
 /// library exposes a general observable path alongside the fast one.
 PauliSum maxcut_pauli_sum(const Graph& g);
 

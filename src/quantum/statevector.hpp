@@ -15,7 +15,7 @@ namespace qgnn {
 using Amplitude = std::complex<double>;
 
 /// Hard cap on simulable qubit counts, shared by every 2^n-sized component
-/// (StateVector, Circuit, CostHamiltonian, DiagonalQaoa, PauliString,
+/// (StateVector, Circuit, QaoaEvalEngine, maxcut_diagonal, PauliString,
 /// IsingModel, dataset generation). 2^20 amplitudes is 16 MiB per state —
 /// large enough for every experiment in the repo (benches sweep to n = 18)
 /// while keeping per-thread evaluation workspaces cheap enough to cache.

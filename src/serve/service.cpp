@@ -338,7 +338,7 @@ void ServeHandle::maybe_verify(Prediction& p, const Graph& g) {
   const bool obs_on = obs::enabled();
   const auto verify_start = obs_on ? std::chrono::steady_clock::now()
                                    : std::chrono::steady_clock::time_point{};
-  // One CostHamiltonian build + one engine evaluation per request. The
+  // One cut-diagonal + engine build and one evaluation per request. The
   // engine's phase-table and fused-mixer kernels make this cheap enough to
   // run inline on the request thread at paper-scale n.
   const QaoaAnsatz ansatz(g);

@@ -26,41 +26,54 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
+const std::string* CliArgs::find(const std::string& key) const {
+  read_.insert(key);
+  const auto it = flags_.find(key);
+  return it == flags_.end() ? nullptr : &it->second;
+}
+
 bool CliArgs::has(const std::string& key) const {
-  return flags_.count(key) > 0;
+  return find(key) != nullptr;
 }
 
 std::string CliArgs::get(const std::string& key,
                          const std::string& fallback) const {
-  const auto it = flags_.find(key);
-  return it == flags_.end() ? fallback : it->second;
+  const std::string* value = find(key);
+  return value == nullptr ? fallback : *value;
 }
 
 int CliArgs::get_int(const std::string& key, int fallback) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return fallback;
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
   try {
-    return std::stoi(it->second);
+    return std::stoi(*value);
   } catch (const std::exception&) {
-    throw InvalidArgument("flag --" + key + " is not an integer: " +
-                          it->second);
+    throw InvalidArgument("flag --" + key + " is not an integer: " + *value);
   }
 }
 
 double CliArgs::get_double(const std::string& key, double fallback) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return fallback;
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
   try {
-    return std::stod(it->second);
+    return std::stod(*value);
   } catch (const std::exception&) {
-    throw InvalidArgument("flag --" + key + " is not a number: " + it->second);
+    throw InvalidArgument("flag --" + key + " is not a number: " + *value);
   }
 }
 
 bool CliArgs::get_bool(const std::string& key, bool fallback) const {
-  const auto it = flags_.find(key);
-  if (it == flags_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* value = find(key);
+  if (value == nullptr) return fallback;
+  return *value == "true" || *value == "1" || *value == "yes";
+}
+
+std::vector<std::string> CliArgs::unread() const {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : flags_) {
+    if (read_.count(key) == 0) keys.push_back(key);
+  }
+  return keys;
 }
 
 bool full_scale_requested(const CliArgs& args) {

@@ -1,8 +1,11 @@
+// The Max-Cut cost Hamiltonian C = sum_e w_e (1 - Z_u Z_v) / 2: its
+// diagonal (maxcut_diagonal) and the engine built over it.
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
 #include "maxcut/maxcut.hpp"
-#include "qaoa/cost_hamiltonian.hpp"
+#include "qaoa/ansatz.hpp"
 #include "util/error.hpp"
 
 namespace qgnn {
@@ -11,9 +14,10 @@ namespace {
 TEST(CostHamiltonian, DiagonalMatchesCutValues) {
   Rng rng(3);
   const Graph g = erdos_renyi_graph(6, 0.5, rng);
-  const CostHamiltonian cost(g);
-  for (std::uint64_t x = 0; x < cost.dimension(); ++x) {
-    EXPECT_DOUBLE_EQ(cost.value(x), cut_value(g, x)) << "state " << x;
+  const std::vector<double> diag = maxcut_diagonal(g);
+  ASSERT_EQ(diag.size(), 64u);
+  for (std::uint64_t x = 0; x < diag.size(); ++x) {
+    EXPECT_DOUBLE_EQ(diag[x], cut_value(g, x)) << "state " << x;
   }
 }
 
@@ -21,11 +25,11 @@ TEST(CostHamiltonian, WeightedDiagonal) {
   Graph g(3);
   g.add_edge(0, 1, 2.0);
   g.add_edge(1, 2, 0.25);
-  const CostHamiltonian cost(g);
-  EXPECT_DOUBLE_EQ(cost.value(0b010), 2.25);
-  EXPECT_DOUBLE_EQ(cost.value(0b001), 2.0);
-  EXPECT_DOUBLE_EQ(cost.value(0b100), 0.25);
-  EXPECT_DOUBLE_EQ(cost.value(0b000), 0.0);
+  const std::vector<double> diag = maxcut_diagonal(g);
+  EXPECT_DOUBLE_EQ(diag[0b010], 2.25);
+  EXPECT_DOUBLE_EQ(diag[0b001], 2.0);
+  EXPECT_DOUBLE_EQ(diag[0b100], 0.25);
+  EXPECT_DOUBLE_EQ(diag[0b000], 0.0);
 }
 
 class MaxValueTest : public ::testing::TestWithParam<int> {};
@@ -33,20 +37,21 @@ class MaxValueTest : public ::testing::TestWithParam<int> {};
 TEST_P(MaxValueTest, MatchesBruteForce) {
   Rng rng(static_cast<std::uint64_t>(GetParam()));
   const Graph g = erdos_renyi_graph(GetParam(), 0.5, rng);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
+  const QaoaEvalEngine& engine = ansatz.engine();
   const Cut opt = max_cut_brute_force(g);
-  EXPECT_DOUBLE_EQ(cost.max_value(), opt.value);
-  EXPECT_DOUBLE_EQ(cost.value(cost.argmax()), cost.max_value());
+  EXPECT_DOUBLE_EQ(engine.max_value(), opt.value);
+  EXPECT_DOUBLE_EQ(engine.diagonal()[engine.argmax()], engine.max_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(SizeSweep, MaxValueTest,
                          ::testing::Values(3, 4, 5, 6, 7, 8, 9, 10, 11, 12));
 
 TEST(CostHamiltonian, ApplyPhasePreservesNormAndProbabilities) {
-  const Graph g = cycle_graph(5);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(cycle_graph(5));
   StateVector s = StateVector::plus_state(5);
-  cost.apply_phase(s, 0.83);
+  std::vector<Amplitude> table;
+  ansatz.engine().apply_cost_layer(s, 0.83, table);
   EXPECT_NEAR(s.norm(), 1.0, 1e-12);
   for (std::uint64_t k = 0; k < 32; ++k) {
     EXPECT_NEAR(s.probability(k), 1.0 / 32.0, 1e-12);
@@ -54,11 +59,11 @@ TEST(CostHamiltonian, ApplyPhasePreservesNormAndProbabilities) {
 }
 
 TEST(CostHamiltonian, ExpectationOnBasisStates) {
-  const Graph g = path_graph(3);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(path_graph(3));
+  const QaoaEvalEngine& engine = ansatz.engine();
   for (std::uint64_t x = 0; x < 8; ++x) {
     const StateVector s = StateVector::basis_state(3, x);
-    EXPECT_NEAR(cost.expectation(s), cost.value(x), 1e-12);
+    EXPECT_NEAR(engine.expectation_of(s), engine.diagonal()[x], 1e-12);
   }
 }
 
@@ -68,22 +73,25 @@ TEST(CostHamiltonian, ExpectationOnPlusStateIsHalfWeight) {
   g.add_edge(0, 1, 1.5);
   g.add_edge(2, 3, 2.0);
   g.add_edge(0, 3, 1.0);
-  const CostHamiltonian cost(g);
+  const QaoaAnsatz ansatz(g);
   const StateVector s = StateVector::plus_state(4);
-  EXPECT_NEAR(cost.expectation(s), g.total_weight() / 2.0, 1e-12);
+  EXPECT_NEAR(ansatz.engine().expectation_of(s), g.total_weight() / 2.0,
+              1e-12);
 }
 
 TEST(CostHamiltonian, MismatchedStateThrows) {
-  const CostHamiltonian cost(cycle_graph(4));
+  const QaoaAnsatz ansatz(cycle_graph(4));
   StateVector s(3);
-  EXPECT_THROW(cost.apply_phase(s, 0.1), InvalidArgument);
-  EXPECT_THROW(cost.expectation(s), InvalidArgument);
+  std::vector<Amplitude> table;
+  EXPECT_THROW(ansatz.engine().apply_cost_layer(s, 0.1, table),
+               InvalidArgument);
+  EXPECT_THROW(ansatz.engine().expectation_of(s), InvalidArgument);
 }
 
 TEST(CostHamiltonian, EdgelessGraphHasZeroCost) {
-  const CostHamiltonian cost(Graph(3));
-  EXPECT_DOUBLE_EQ(cost.max_value(), 0.0);
-  for (std::uint64_t x = 0; x < 8; ++x) EXPECT_DOUBLE_EQ(cost.value(x), 0.0);
+  const std::vector<double> diag = maxcut_diagonal(Graph(3));
+  for (double v : diag) EXPECT_DOUBLE_EQ(v, 0.0);
+  EXPECT_DOUBLE_EQ(QaoaAnsatz(Graph(3)).engine().max_value(), 0.0);
 }
 
 }  // namespace

@@ -111,7 +111,7 @@ TEST(DiagonalQaoaTest, MatchesGraphAnsatzOnMaxcut) {
   Rng rng(7);
   const Graph g = random_regular_graph(6, 3, rng);
   const QaoaAnsatz graph_ansatz(g);
-  const DiagonalQaoa diag = maxcut_to_ising(g).to_qaoa();
+  const QaoaEvalEngine diag = maxcut_to_ising(g).to_qaoa();
   for (double gamma : {0.2, 0.7, 1.9}) {
     for (double beta : {0.1, 0.39, 1.0}) {
       const QaoaParams params = QaoaParams::single(gamma, beta);
@@ -124,7 +124,7 @@ TEST(DiagonalQaoaTest, MatchesGraphAnsatzOnMaxcut) {
 TEST(DiagonalQaoaTest, ArgmaxIsGroundState) {
   Rng rng(9);
   const IsingModel model = random_spin_glass(7, 0.6, 0.3, rng);
-  const DiagonalQaoa qaoa = model.to_qaoa();
+  const QaoaEvalEngine qaoa = model.to_qaoa();
   const auto gs = model.ground_state();
   EXPECT_EQ(qaoa.argmax(), gs.configuration);
   EXPECT_NEAR(qaoa.max_value(), -gs.energy, 1e-12);
@@ -164,18 +164,16 @@ TEST(DiagonalQaoaTest, ZeroAnglesGiveUniformAverage) {
     mean += v;
   }
   mean /= 16.0;
-  const DiagonalQaoa qaoa(4, diag);
+  const QaoaEvalEngine qaoa(4, diag);
   EXPECT_NEAR(qaoa.expectation(QaoaParams::single(0.0, 0.0)), mean, 1e-12);
 }
 
 TEST(DiagonalQaoaTest, Validation) {
-  EXPECT_THROW(DiagonalQaoa(2, std::vector<double>(3, 0.0)),
+  EXPECT_THROW(QaoaEvalEngine(2, std::vector<double>(3, 0.0)),
                InvalidArgument);
-  EXPECT_THROW(DiagonalQaoa(0, {}), InvalidArgument);
-  // Non-positive optimum: approximation ratio refuses.
-  const DiagonalQaoa qaoa(1, {-1.0, -2.0});
-  EXPECT_THROW(qaoa.approximation_ratio(QaoaParams::single(0.1, 0.1)),
-               InvalidArgument);
+  EXPECT_THROW(QaoaEvalEngine(0, {}), InvalidArgument);
+  // A non-positive optimum is still reported as is.
+  const QaoaEvalEngine qaoa(1, {-1.0, -2.0});
   EXPECT_DOUBLE_EQ(qaoa.max_value(), -1.0);
   EXPECT_EQ(qaoa.argmax(), 0u);
 }
@@ -183,7 +181,7 @@ TEST(DiagonalQaoaTest, Validation) {
 TEST(DiagonalQaoaTest, GridOptimizationRaisesExpectation) {
   Rng rng(17);
   const IsingModel model = random_spin_glass(6, 0.5, 0.3, rng);
-  const DiagonalQaoa qaoa = model.to_qaoa();
+  const QaoaEvalEngine qaoa = model.to_qaoa();
   const double at_zero = qaoa.expectation(QaoaParams::single(0.0, 0.0));
   const Objective f = [&qaoa](const std::vector<double>& x) {
     return qaoa.expectation(QaoaParams::from_flat(x));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "dataset/pruning.hpp"
 #include "graph/generators.hpp"
 #include "qaoa/fixed_angles.hpp"
 #include "qaoa/qaoa.hpp"
@@ -32,6 +33,32 @@ TEST(RunQaoa, NoneOptimizerEvaluatesOnce) {
   EXPECT_EQ(r.evaluations, 1);
   EXPECT_DOUBLE_EQ(r.best_expectation, r.initial_expectation);
   EXPECT_EQ(r.best_params.gammas, r.initial_params.gammas);
+}
+
+TEST(RunQaoa, OneApproximationRatioAcrossFrontEnds) {
+  // The ansatz, the run record and the fixed-angle label audit all go
+  // through qgnn::approximation_ratio, so at the same graph and angles
+  // they return the same double, not merely close ones.
+  Rng rng(12);
+  const Graph g = random_regular_graph(8, 3, rng);
+  const QaoaParams angles = *fixed_angles(3, 1);
+
+  const double from_ansatz = QaoaAnsatz(g).approximation_ratio(angles);
+
+  QaoaRunConfig config;
+  config.optimizer = QaoaOptimizer::kNone;
+  config.sample_shots = 0;
+  const QaoaResult run = run_qaoa_from(g, angles, config, rng);
+
+  std::vector<DatasetEntry> entries(1);
+  entries[0].graph = g;
+  entries[0].degree = 3;
+  entries[0].optimum = run.optimum;
+  entries[0].approximation_ratio = 0.0;  // any positive AR improves on it
+  ASSERT_EQ(fixed_angle_label_audit(entries, 1).improved, 1u);
+
+  EXPECT_EQ(run.best_ar, from_ansatz);
+  EXPECT_EQ(entries[0].approximation_ratio, from_ansatz);
 }
 
 TEST(RunQaoa, RespectsEvaluationBudget) {

@@ -201,6 +201,23 @@ TEST(CliArgs, ParsesKeyValueForms) {
   EXPECT_EQ(args.get("missing", "dflt"), "dflt");
 }
 
+TEST(CliArgs, ReportsFlagsNoLookupRead) {
+  const char* argv[] = {"prog", "--count", "3", "--chekpoint-every", "1",
+                        "--lanes=8", "--quiet", "--seed", "5"};
+  CliArgs args(9, argv);
+  EXPECT_EQ(args.get_int("count", 0), 3);
+  EXPECT_FALSE(args.has("checkpoint-every"));
+  EXPECT_TRUE(args.get_bool("quiet", false));
+  // A lookup of an absent key is not an unread flag; a present key read
+  // with a fallback counts as read.
+  EXPECT_EQ(args.get("missing", "x"), "x");
+  EXPECT_EQ(args.unread(),
+            (std::vector<std::string>{"chekpoint-every", "lanes", "seed"}));
+  EXPECT_EQ(args.get_int("seed", 0), 5);
+  EXPECT_EQ(args.unread(),
+            (std::vector<std::string>{"chekpoint-every", "lanes"}));
+}
+
 TEST(CliArgs, BadIntegerThrows) {
   const char* argv[] = {"prog", "--n=abc"};
   CliArgs args(2, argv);
