@@ -1,5 +1,8 @@
 #include "qaoa/ansatz.hpp"
 
+#include <bit>
+#include <cstdint>
+
 #include "maxcut/maxcut.hpp"
 #include "util/error.hpp"
 
@@ -34,16 +37,25 @@ std::vector<double> maxcut_diagonal(const Graph& g) {
   QGNN_REQUIRE(g.num_nodes() >= 1 && g.num_nodes() <= kMaxQubits,
                "graph size out of simulable range [1, kMaxQubits] nodes");
   const std::uint64_t dim = std::uint64_t{1} << g.num_nodes();
+  const std::uint64_t half = dim >> 1;
   std::vector<double> diag(dim, 0.0);
-  // Incremental per-edge accumulation: for each edge, add w to all states
-  // where the endpoints differ. O(2^n * m) total, done once per graph.
+  // Per-edge accumulation over the lower half: for each edge, add w to
+  // every state whose endpoints differ. The inner loop is branch-free
+  // (it adds w or +0.0 through a bit mask), and adding +0.0 leaves every
+  // entry's bytes as they were, since a sum that starts at +0.0 is never
+  // -0.0. O(2^(n-1) * m) total, done once per graph.
   for (const Edge& e : g.edges()) {
-    const std::uint64_t ub = std::uint64_t{1} << e.u;
-    const std::uint64_t vb = std::uint64_t{1} << e.v;
-    for (std::uint64_t x = 0; x < dim; ++x) {
-      if (((x & ub) != 0) != ((x & vb) != 0)) diag[x] += e.weight;
+    const auto w = std::bit_cast<std::uint64_t>(e.weight);
+    const int u = e.u;
+    const int v = e.v;
+    for (std::uint64_t x = 0; x < half; ++x) {
+      const std::uint64_t cut = ((x >> u) ^ (x >> v)) & 1u;
+      diag[x] += std::bit_cast<double>(w & (0 - cut));
     }
   }
+  // A cut and its complement cut the same edges, added in the same
+  // order, so the upper half repeats the lower half's sums exactly.
+  for (std::uint64_t x = half; x < dim; ++x) diag[x] = diag[dim - 1 - x];
   return diag;
 }
 

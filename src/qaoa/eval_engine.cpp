@@ -1,6 +1,7 @@
 #include "qaoa/eval_engine.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -43,6 +44,13 @@ StateVector& EvalWorkspace::adjoint(int num_qubits) {
   return *adjoint_;
 }
 
+StateVector& EvalWorkspace::half(int num_qubits) {
+  if (!half_ || half_->num_qubits() != num_qubits - 1) {
+    half_ = std::make_unique<StateVector>(num_qubits - 1);
+  }
+  return *half_;
+}
+
 EvalWorkspace& EvalWorkspace::for_current_thread() {
   thread_local EvalWorkspace ws;
   return ws;
@@ -59,12 +67,13 @@ QaoaEvalEngine::QaoaEvalEngine(int num_qubits, std::vector<double> diagonal,
 }
 
 void QaoaEvalEngine::build_levels(std::size_t max_levels) {
-  // One pass finds the optimum (first index of the largest entry) and
-  // decides the fast path for Max-Cut style diagonals: small non-negative
-  // integers index the table directly, no sort and no per-state binary
-  // search.
+  // One pass finds the optimum (first index of the largest entry),
+  // checks complement symmetry, and decides the fast path for Max-Cut
+  // style diagonals: small non-negative integers index the table
+  // directly, no sort and no per-state binary search.
   bool finite = true;
   bool small_ints = true;
+  bool symmetric = true;
   max_value_ = diag_[0];
   argmax_ = 0;
   for (std::size_t k = 0; k < diag_.size(); ++k) {
@@ -73,6 +82,12 @@ void QaoaEvalEngine::build_levels(std::size_t max_levels) {
       max_value_ = v;
       argmax_ = k;
     }
+    // Same bytes, not just ==: a -0.0 facing a +0.0 could give mirrored
+    // amplitudes zeros of opposite sign on the generic sincos path.
+    if (std::bit_cast<std::uint64_t>(v) !=
+        std::bit_cast<std::uint64_t>(diag_[diag_.size() - 1 - k])) {
+      symmetric = false;
+    }
     if (!std::isfinite(v)) {
       finite = false;
     } else if (v < 0.0 || v != std::floor(v) ||
@@ -80,6 +95,9 @@ void QaoaEvalEngine::build_levels(std::size_t max_levels) {
       small_ints = false;
     }
   }
+  // NaN/inf entries keep the full path: mirrored lanes of a non-finite
+  // state are not guaranteed the same NaN bytes.
+  mirrored_ = symmetric && finite && num_qubits_ >= 2;
   if (!finite) return;  // NaN/inf: table off, generic path only
   if (small_ints &&
       static_cast<std::size_t>(max_value_) + 1 <= max_levels) {
@@ -130,13 +148,19 @@ void QaoaEvalEngine::apply_cost_layer(
     std::vector<Amplitude>& table_scratch) const {
   QGNN_REQUIRE(state.num_qubits() == num_qubits_,
                "state size does not match engine");
+  cost_layer(state, gamma, table_scratch);
+}
+
+void QaoaEvalEngine::cost_layer(StateVector& state, double gamma,
+                                std::vector<Amplitude>& table_scratch) const {
+  const std::size_t dim = state.dimension();
   if (!phase_table_active()) {
-    state.apply_diagonal_phase(diag_, gamma);
+    state.apply_diagonal_phase(std::span(diag_).first(dim), gamma);
     return;
   }
   obs::ScopedTimer timer(obs::enabled() ? &phase_table_histogram() : nullptr);
   build_phase_table(gamma, table_scratch);
-  state.apply_phase_table(level_of_, table_scratch);
+  state.apply_phase_table(std::span(level_of_).first(dim), table_scratch);
 }
 
 void QaoaEvalEngine::apply_ansatz(StateVector& state,
@@ -161,7 +185,29 @@ const StateVector& QaoaEvalEngine::prepare_state(const QaoaParams& params,
 
 double QaoaEvalEngine::expectation(const QaoaParams& params,
                                    EvalWorkspace& ws) const {
+  if (mirrored_) return expectation_mirrored(params, ws);
   return prepare_state(params, ws).expectation_diagonal(diag_);
+}
+
+double QaoaEvalEngine::expectation_mirrored(const QaoaParams& params,
+                                            EvalWorkspace& ws) const {
+  QGNN_REQUIRE(params.gammas.size() == params.betas.size(),
+               "gamma/beta depth mismatch");
+  // The lower half of the full state's run, step for step: the same |+>
+  // amplitude (of 2^n states, not the half's 2^(n-1)), the same cost
+  // layer on the first half of the diagonal, and the full mixer split
+  // into qubits 0..n-2 plus the mirrored top qubit.
+  StateVector& half = ws.half(num_qubits_);
+  half.set_uniform(1.0 / std::sqrt(static_cast<double>(dimension())));
+  for (int layer = 0; layer < params.depth(); ++layer) {
+    const auto l = static_cast<std::size_t>(layer);
+    const double theta = 2.0 * params.betas[l];
+    cost_layer(half, params.gammas[l], ws.phase_table);
+    half.apply_rx_layer(theta);
+    half.apply_rx_mirror(theta);
+  }
+  return half.expectation_diagonal_mirrored(
+      std::span(diag_).first(half.dimension()));
 }
 
 double QaoaEvalEngine::expectation(const QaoaParams& params) const {

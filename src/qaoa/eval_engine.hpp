@@ -11,10 +11,11 @@
 namespace qgnn {
 
 /// Reusable per-evaluation scratch for QaoaEvalEngine: the prepared
-/// statevector, the adjoint statevector (gradients only), and the per-gamma
-/// phase table. A workspace belongs to ONE thread at a time; the engine
-/// itself is immutable after construction and safe to share across threads
-/// as long as each thread brings its own workspace. Buffers are allocated
+/// statevector, the half statevector (mirrored expectations only), the
+/// adjoint statevector (gradients only), and the per-gamma phase table.
+/// A workspace belongs to ONE thread at a time; the engine itself is
+/// immutable after construction and safe to share across threads as long
+/// as each thread brings its own workspace. Buffers are allocated
 /// lazily and reallocated only when the qubit count changes, so the
 /// 500-evaluation optimization loops run with zero per-evaluation
 /// allocations.
@@ -24,6 +25,9 @@ class EvalWorkspace {
   StateVector& state(int num_qubits);
   /// The adjoint buffer, sized for `num_qubits` (reallocating if needed).
   StateVector& adjoint(int num_qubits);
+  /// The lower-half buffer of a complement-symmetric `num_qubits` state:
+  /// num_qubits - 1 qubits (reallocating if needed; num_qubits >= 2).
+  StateVector& half(int num_qubits);
 
   /// Per-gamma phase table scratch (capacity persists across layers).
   std::vector<Amplitude> phase_table;
@@ -37,6 +41,7 @@ class EvalWorkspace {
  private:
   std::unique_ptr<StateVector> state_;
   std::unique_ptr<StateVector> adjoint_;
+  std::unique_ptr<StateVector> half_;
 };
 
 /// High-throughput evaluator for diagonal-cost QAOA:
@@ -54,6 +59,17 @@ class EvalWorkspace {
 ///    match the generic path bit-for-bit.
 ///  - Fused RX mixer layer (StateVector::apply_rx_layer): one cache-blocked
 ///    sweep for all n qubits instead of n generic 2x2 gate passes.
+///  - Half-statevector expectation: when D(x) and D(~x) hold the same
+///    finite double for every x (every Max-Cut cut table, never an Ising
+///    model with a field), the QAOA state satisfies psi(x) == psi(~x) bit
+///    for bit, so expectation() evolves only the lower 2^(n-1) amplitudes
+///    (n >= 2):
+///    cost layer and RX on qubits 0..n-2 act on the half directly, RX on
+///    qubit n-1 pairs x with its mirror (StateVector::apply_rx_mirror),
+///    and the reduction keeps the full state's summation order. Results
+///    are bit-identical to the full path. prepare_state, apply_ansatz
+///    (warm-start initial states are not symmetric) and
+///    value_and_gradient stay on the full state.
 ///  - Workspace reuse: prepare/expectation/gradient run entirely inside an
 ///    EvalWorkspace; no per-evaluation statevector allocation.
 ///  - Adjoint-mode analytic gradient of <D> wrt (gamma, beta): O(depth)
@@ -87,6 +103,9 @@ class QaoaEvalEngine {
 
   /// True when the quantized cost layer is in use.
   bool phase_table_active() const { return !level_of_.empty(); }
+  /// True when expectation() runs on the half statevector: n >= 2 and
+  /// the diagonal is finite and complement-symmetric byte for byte.
+  bool mirror_active() const { return mirrored_; }
   /// Number of phase-table entries (0 when the table is inactive). For
   /// the small-integer fast path this is max(diag)+1, a superset of the
   /// distinct values; for the sorted path it is the exact distinct count.
@@ -134,11 +153,18 @@ class QaoaEvalEngine {
  private:
   void build_levels(std::size_t max_levels);
   void build_phase_table(double gamma, std::vector<Amplitude>& table) const;
+  /// Cost layer over the first state.dimension() basis states: the whole
+  /// diagonal for a full state, its lower half for a mirrored half state.
+  void cost_layer(StateVector& state, double gamma,
+                  std::vector<Amplitude>& table_scratch) const;
+  double expectation_mirrored(const QaoaParams& params,
+                              EvalWorkspace& ws) const;
 
   int num_qubits_;
   std::vector<double> diag_;
   double max_value_ = 0.0;
   std::uint64_t argmax_ = 0;
+  bool mirrored_ = false;               // see mirror_active()
   std::vector<double> levels_;          // distinct diagonal values
   std::vector<std::uint16_t> level_of_; // per-state level index; empty =>
                                         // table inactive

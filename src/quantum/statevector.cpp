@@ -86,7 +86,10 @@ StateVector StateVector::plus_state(int num_qubits) {
 }
 
 void StateVector::set_plus_state() {
-  const double amp = 1.0 / std::sqrt(static_cast<double>(dimension()));
+  set_uniform(1.0 / std::sqrt(static_cast<double>(dimension())));
+}
+
+void StateVector::set_uniform(double amp) {
   for_each_index(dimension(), [&](std::uint64_t lo, std::uint64_t hi) {
     for (std::uint64_t k = lo; k < hi; ++k) amps_[k] = Amplitude{amp, 0.0};
   });
@@ -255,6 +258,71 @@ void StateVector::apply_rx_layer(double theta) {
       body(0, dim >> 1);
     }
   }
+}
+
+void StateVector::apply_rx_mirror(double theta) {
+  // Same c, s as apply_rx_layer, so each pair gets the full state's
+  // top-qubit update on mirrored operands.
+  const double c = std::cos(theta / 2.0);
+  const double s = std::sin(theta / 2.0);
+  const std::uint64_t dim = dimension();
+  const auto kernel = simd::rx_mirror();
+  auto* amps = reinterpret_cast<double*>(amps_.data());
+  const bool obs_on = obs::enabled();
+  if (obs_on) amps_touched_counter().add(dim);
+  auto body = [&](std::uint64_t lo, std::uint64_t hi) {
+    kernel(amps, dim, lo, hi, c, s);
+  };
+  if (dim >= kParallelDim) {
+    obs::ScopedTimer timer(obs_on ? &kernel_histogram() : nullptr);
+    ThreadPool::global().parallel_for(0, dim >> 1, kGrain, body);
+  } else {
+    body(0, dim >> 1);
+  }
+}
+
+double StateVector::expectation_diagonal_mirrored(
+    std::span<const double> diag) const {
+  QGNN_REQUIRE(diag.size() == dimension(),
+               "half diagonal length must equal state dimension");
+  const std::uint64_t half = dimension();
+  const std::uint64_t full = half << 1;
+  // Full-state index k >= half reads amplitude full - 1 - k; its diagonal
+  // entry equals diag[full - 1 - k] by symmetry, so the terms are the
+  // full state's terms exactly.
+  auto term = [&](std::uint64_t j) { return std::norm(amps_[j]) * diag[j]; };
+  const bool obs_on = obs::enabled();
+  if (obs_on) amps_touched_counter().add(half);
+  if (full < kParallelDim) {
+    // reduce_index's serial chain over k = 0 .. full-1.
+    double acc = 0.0;
+    for (std::uint64_t j = 0; j < half; ++j) acc += term(j);
+    for (std::uint64_t j = half; j-- > 0;) acc += term(j);
+    return acc;
+  }
+  // reduce_index's chunking of the full range: chunk c (< chunks / 2)
+  // sums its amplitudes ascending, mirror chunk chunks-1-c sums the same
+  // amplitudes descending, and the partials combine in chunk order.
+  obs::ScopedTimer timer(obs_on ? &kernel_histogram() : nullptr);
+  const std::uint64_t chunks = full / kGrain;
+  std::vector<double> partial(chunks, 0.0);
+  ThreadPool::global().parallel_for(
+      0, chunks >> 1, 1, [&](std::uint64_t cb, std::uint64_t ce) {
+        for (std::uint64_t c = cb; c < ce; ++c) {
+          const std::uint64_t lo = c * kGrain;
+          double up = 0.0;
+          double down = 0.0;
+          for (std::uint64_t t = 0; t < kGrain; ++t) {
+            up += term(lo + t);
+            down += term(lo + kGrain - 1 - t);
+          }
+          partial[c] = up;
+          partial[chunks - 1 - c] = down;
+        }
+      });
+  double acc = 0.0;
+  for (const double p : partial) acc += p;
+  return acc;
 }
 
 void StateVector::assign_scaled(const StateVector& src,

@@ -49,6 +49,11 @@ class StateVector {
   /// QAOA states and must not reallocate 2^n amplitudes each time.
   void set_plus_state();
 
+  /// Set every amplitude to the real value `amp` in place. The lower half
+  /// of an (n+1)-qubit |+> state is set_uniform(1/sqrt(2^(n+1))), which
+  /// set_plus_state() on this n-qubit buffer would get wrong.
+  void set_uniform(double amp) QGNN_BIT_IDENTICAL_PATH;
+
   int num_qubits() const { return num_qubits_; }
   std::uint64_t dimension() const { return std::uint64_t{1} << num_qubits_; }
 
@@ -85,6 +90,29 @@ class StateVector {
   /// specialized to RX's [[c, -is], [-is, c]] structure (4 real FMAs per
   /// pair) and traversed block-wise so low-qubit passes stay L1-resident.
   void apply_rx_layer(double theta) QGNN_BIT_IDENTICAL_PATH;
+
+  // --- Complement-symmetric (mirrored) states ---------------------------
+  // A state psi on n+1 qubits with psi(x) == psi(~x) bit for bit (the QAOA
+  // state of any diagonal with D(x) == D(~x), e.g. every Max-Cut cut
+  // table) is fully described by its lower half, stored in this n-qubit
+  // buffer: amplitude x + 2^n of the full state is amplitude 2^n - 1 - x
+  // here. Cost layers and RX on qubits 0..n-1 act on the half unchanged;
+  // the two methods below supply the top qubit's RX and the full state's
+  // expectation, both bit-identical to the full-state kernels.
+
+  /// RX(theta) on the full state's top qubit (qubit n): pairs x with
+  /// 2^n - 1 - x through the dispatched rx_mirror kernel. Together with
+  /// apply_rx_layer(theta) it is the full state's mixer layer.
+  void apply_rx_mirror(double theta) QGNN_BIT_IDENTICAL_PATH;
+
+  /// The full state's expectation_diagonal for a complement-symmetric
+  /// diagonal, given its lower half `diag` (dimension() entries). Sums
+  /// the same terms in the same order as the full state would: one serial
+  /// chain below the parallel threshold, and above it the full state's
+  /// fixed chunks combined in chunk order (chunk c and its mirror chunk
+  /// read the same amplitudes, so one sweep fills both partial sums).
+  double expectation_diagonal_mirrored(std::span<const double> diag) const
+      QGNN_BIT_IDENTICAL_PATH;
 
   /// amps[k] = scale[k] * src[k] for all k: builds the adjoint-gradient
   /// seed lambda = D|psi> without a temporary.

@@ -17,6 +17,8 @@ void phase_table_avx2(double* amps, const std::uint16_t* lev,
 void rx_block_avx2(double* amps, int nq, double c, double s);
 void rx_pairs_avx2(double* lo, double* hi, std::uint64_t count, double c,
                    double s);
+void rx_mirror_avx2(double* amps, std::uint64_t len, std::uint64_t lo,
+                    std::uint64_t hi, double c, double s);
 void scaled_assign_avx2(double* amps, const double* src, const double* scale,
                         std::uint64_t lo, std::uint64_t hi);
 void axpy_avx2(double* y, const double* x, double a, std::size_t n);
@@ -35,6 +37,8 @@ void phase_table_avx512(double* amps, const std::uint16_t* lev,
 void rx_block_avx512(double* amps, int nq, double c, double s);
 void rx_pairs_avx512(double* lo, double* hi, std::uint64_t count, double c,
                      double s);
+void rx_mirror_avx512(double* amps, std::uint64_t len, std::uint64_t lo,
+                      std::uint64_t hi, double c, double s);
 void scaled_assign_avx512(double* amps, const double* src,
                           const double* scale, std::uint64_t lo,
                           std::uint64_t hi);
@@ -65,6 +69,11 @@ void rx_block_generic(double* amps, int nq, double c, double s) {
 void rx_pairs_generic(double* lo, double* hi, std::uint64_t count, double c,
                       double s) {
   impl::rx_pairs_scalar(lo, hi, count, c, s);
+}
+
+void rx_mirror_generic(double* amps, std::uint64_t len, std::uint64_t lo,
+                       std::uint64_t hi, double c, double s) {
+  impl::rx_mirror_scalar(amps, len, lo, hi, c, s);
 }
 
 void scaled_assign_generic(double* amps, const double* src,
@@ -98,6 +107,7 @@ struct KernelTable {
   PhaseTableFn phase_table = &phase_table_generic;
   RxBlockFn rx_block = &rx_block_generic;
   RxPairsFn rx_pairs = &rx_pairs_generic;
+  RxMirrorFn rx_mirror = &rx_mirror_generic;
   ScaledAssignFn scaled_assign = &scaled_assign_generic;
   AxpyFn axpy = &axpy_generic;
   AxpyFn axpy_fast = &axpy_generic;
@@ -123,6 +133,7 @@ Tables build_tables() {
     t.avx2.phase_table = &detail::phase_table_avx2;
     t.avx2.rx_block = &detail::rx_block_avx2;
     t.avx2.rx_pairs = &detail::rx_pairs_avx2;
+    t.avx2.rx_mirror = &detail::rx_mirror_avx2;
     t.avx2.scaled_assign = &detail::scaled_assign_avx2;
     t.avx2.axpy = &detail::axpy_avx2;
     t.avx2.axpy_fast = &detail::axpy_avx2;
@@ -143,6 +154,7 @@ Tables build_tables() {
     t.avx512.phase_table = &detail::phase_table_avx512;
     t.avx512.rx_block = &detail::rx_block_avx512;
     t.avx512.rx_pairs = &detail::rx_pairs_avx512;
+    t.avx512.rx_mirror = &detail::rx_mirror_avx512;
     t.avx512.scaled_assign = &detail::scaled_assign_avx512;
     t.avx512.axpy = &detail::axpy_avx512;
     // FMA on 512-bit registers is part of AVX-512F itself.
@@ -176,6 +188,8 @@ PhaseTableFn phase_table() { return active_table().phase_table; }
 RxBlockFn rx_block() { return active_table().rx_block; }
 
 RxPairsFn rx_pairs() { return active_table().rx_pairs; }
+
+RxMirrorFn rx_mirror() { return active_table().rx_mirror; }
 
 ScaledAssignFn scaled_assign() { return active_table().scaled_assign; }
 

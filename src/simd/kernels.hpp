@@ -56,6 +56,15 @@ using RxBlockFn = void (*)(double* amps, int nq, double c, double s);
 using RxPairsFn = void (*)(double* lo, double* hi, std::uint64_t count,
                            double c, double s);
 
+/// RX on the top qubit of a complement-symmetric state stored as its
+/// lower half: `amps` holds `len` amplitudes, and amplitude x's partner
+/// across the top qubit is the mirror of x + len, i.e. len - 1 - x. For
+/// x in [lo, hi) (hi <= len / 2) the pair (x, len - 1 - x) gets the
+/// rx_pairs update with x on the low side. Tier: bit-identical.
+using RxMirrorFn = void (*)(double* amps, std::uint64_t len,
+                            std::uint64_t lo, std::uint64_t hi, double c,
+                            double s);
+
 /// amps[k] = scale[k] * src[k] for k in [lo, hi) (complex k, real
 /// scale) — the adjoint sweep's diagonal apply. Tier: bit-identical.
 using ScaledAssignFn = void (*)(double* amps, const double* src,
@@ -90,6 +99,7 @@ using MatmulFn = void (*)(double* out, const double* a, const double* b,
 PhaseTableFn phase_table();
 RxBlockFn rx_block();
 RxPairsFn rx_pairs();
+RxMirrorFn rx_mirror();
 ScaledAssignFn scaled_assign();
 AxpyFn axpy();
 VaddFn vadd();

@@ -120,6 +120,28 @@ void rx_pairs_avx2(double* lo, double* hi, std::uint64_t count, double c,
   impl::rx_pairs_scalar(lo + 2 * x, hi + 2 * x, count - x, c, s);
 }
 
+void rx_mirror_avx2(double* amps, std::uint64_t len, std::uint64_t lo,
+                    std::uint64_t hi, double c, double s) {
+  const __m256d vc = _mm256_set1_pd(c);
+  const __m256d vs = _mm256_set1_pd(s);
+  const __m256d sign = negate_odd_lanes();
+  std::uint64_t x = lo;
+  for (; x + 2 <= hi; x += 2) {
+    // Partners of x, x+1 are len-1-x, len-2-x: load them as one vector
+    // and swap the two complexes so lanes line up pair by pair.
+    double* mirror = amps + 2 * (len - 2 - x);
+    const __m256d vm = _mm256_loadu_pd(mirror);
+    __m256d nl;
+    __m256d nh;
+    rx_pair_step(_mm256_loadu_pd(amps + 2 * x),
+                 _mm256_permute2f128_pd(vm, vm, 0x01), vc, vs, sign, &nl,
+                 &nh);
+    _mm256_storeu_pd(amps + 2 * x, nl);
+    _mm256_storeu_pd(mirror, _mm256_permute2f128_pd(nh, nh, 0x01));
+  }
+  impl::rx_mirror_scalar(amps, len, x, hi, c, s);
+}
+
 void rx_block_avx2(double* amps, int nq, double c, double s) {
   const __m256d vc = _mm256_set1_pd(c);
   const __m256d vs = _mm256_set1_pd(s);

@@ -145,6 +145,28 @@ void rx_pairs_avx512(double* lo, double* hi, std::uint64_t count, double c,
   impl::rx_pairs_scalar(lo + 2 * x, hi + 2 * x, count - x, c, s);
 }
 
+void rx_mirror_avx512(double* amps, std::uint64_t len, std::uint64_t lo,
+                      std::uint64_t hi, double c, double s) {
+  const __m512d vc = _mm512_set1_pd(c);
+  const __m512d vs = _mm512_set1_pd(s);
+  const __m512d sign = negate_odd_lanes();
+  // Reverses the four complexes of a register (re/im order kept).
+  const __m512i reverse = _mm512_setr_epi64(6, 7, 4, 5, 2, 3, 0, 1);
+  std::uint64_t x = lo;
+  for (; x + 4 <= hi; x += 4) {
+    // Partners of x..x+3 are len-1-x..len-4-x: one reversed load.
+    double* mirror = amps + 2 * (len - 4 - x);
+    __m512d nl;
+    __m512d nh;
+    rx_pair_step(_mm512_loadu_pd(amps + 2 * x),
+                 permutexvar_pd(reverse, _mm512_loadu_pd(mirror)), vc, vs,
+                 sign, &nl, &nh);
+    _mm512_storeu_pd(amps + 2 * x, nl);
+    _mm512_storeu_pd(mirror, permutexvar_pd(reverse, nh));
+  }
+  impl::rx_mirror_scalar(amps, len, x, hi, c, s);
+}
+
 namespace {
 
 // In-place RX butterfly between two vectors of four complexes each.

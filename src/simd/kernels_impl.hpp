@@ -46,6 +46,16 @@ inline void rx_pairs_scalar(double* lo, double* hi, std::uint64_t count,
   }
 }
 
+/// Scalar RX mirror body: pairs (x, len - 1 - x) for x in [lo, hi),
+/// each updated exactly like one rx_pairs_scalar element.
+inline void rx_mirror_scalar(double* amps, std::uint64_t len,
+                             std::uint64_t lo, std::uint64_t hi, double c,
+                             double s) {
+  for (std::uint64_t x = lo; x < hi; ++x) {
+    rx_pairs_scalar(amps + 2 * x, amps + 2 * (len - 1 - x), 1, c, s);
+  }
+}
+
 /// Scalar RX block body: qubits 0..nq-1, ascending, over one
 /// 2^nq-amplitude interleaved block.
 inline void rx_block_scalar(double* amps, int nq, double c, double s) {

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "ising/ising.hpp"
 #include "qaoa/ansatz.hpp"
 #include "qaoa/eval_engine.hpp"
 #include "qaoa/optimize.hpp"
@@ -180,6 +183,80 @@ TEST(EvalEngine, WorkspaceReuseIsDeterministic) {
   }
 }
 
+// --- Half-statevector (mirrored) expectation -----------------------------
+
+/// expectation() against the full-state preparation, byte for byte.
+void expect_mirror_matches_full_state(const QaoaEvalEngine& engine,
+                                      const QaoaParams& params) {
+  EvalWorkspace ws;
+  const double full =
+      engine.prepare_state(params, ws).expectation_diagonal(engine.diagonal());
+  const double got = engine.expectation(params, ws);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+            std::bit_cast<std::uint64_t>(full))
+      << got << " vs " << full << " (n=" << engine.num_qubits() << ")";
+}
+
+TEST(EvalEngine, MirrorPathOnlyForComplementSymmetricDiagonals) {
+  Rng rng(34);
+  const QaoaParams params = random_params(2, rng);
+
+  // An Ising model with a field breaks the spin-flip symmetry.
+  IsingModel field(5);
+  field.add_coupling(0, 1, 1.0);
+  field.add_coupling(2, 4, -0.5);
+  field.set_field(3, 0.7);
+  const QaoaEvalEngine with_field = field.to_qaoa();
+  EXPECT_FALSE(with_field.mirror_active());
+  expect_mirror_matches_full_state(with_field, params);
+
+  // Couplings alone keep it.
+  IsingModel couplings(5);
+  couplings.add_coupling(0, 1, 1.0);
+  couplings.add_coupling(2, 4, -0.5);
+  const QaoaEvalEngine no_field = couplings.to_qaoa();
+  EXPECT_TRUE(no_field.mirror_active());
+  expect_mirror_matches_full_state(no_field, params);
+
+  // A hand-made diagonal equal under complement except at one pair.
+  std::vector<double> diag = maxcut_diagonal(complete_graph(4));
+  diag[2] += 1.0;
+  const QaoaEvalEngine asymmetric(4, diag);
+  EXPECT_FALSE(asymmetric.mirror_active());
+  expect_mirror_matches_full_state(asymmetric, params);
+
+  // == is not enough: -0.0 facing +0.0 and NaN facing NaN stay full.
+  const QaoaEvalEngine signed_zero(2, {-0.0, 1.0, 1.0, 0.0});
+  EXPECT_FALSE(signed_zero.mirror_active());
+  expect_mirror_matches_full_state(signed_zero, params);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(QaoaEvalEngine(2, {nan, 1.0, 1.0, nan}).mirror_active());
+
+  // n = 1 has no half state to hold, symmetric or not.
+  const QaoaEvalEngine one_qubit(1, {2.0, 2.0});
+  EXPECT_FALSE(one_qubit.mirror_active());
+  expect_mirror_matches_full_state(one_qubit, params);
+
+  // Weighted cut tables take the sorted-level table; a one-level budget
+  // forces the generic sincos cost layer. Both mirror.
+  for (int n : {2, 7, 12, 15}) {
+    const Graph g = with_random_weights(
+        n == 2 ? complete_graph(2) : erdos_renyi_graph(n, 0.5, rng), 0.1,
+        2.0, rng);
+    const QaoaEvalEngine table(n, maxcut_diagonal(g));
+    const QaoaEvalEngine generic(n, maxcut_diagonal(g), /*max_levels=*/1);
+    ASSERT_TRUE(table.phase_table_active());
+    ASSERT_FALSE(generic.phase_table_active());
+    for (const QaoaEvalEngine* engine : {&table, &generic}) {
+      EXPECT_TRUE(engine->mirror_active());
+      for (int depth = 1; depth <= 3; ++depth) {
+        expect_mirror_matches_full_state(*engine,
+                                         random_params(depth, rng));
+      }
+    }
+  }
+}
+
 // --- Adjoint gradients ---------------------------------------------------
 
 TEST(AdjointGradient, MatchesFiniteDifferences) {
@@ -243,36 +320,41 @@ TEST(AdjointGradient, GradientAdamMatchesFiniteDifferenceAdamQuality) {
 
 TEST(QaoaFastParallel, ExpectationAndGradientAreThreadCountInvariant) {
   Rng rng(51);
-  // 2^15 amplitudes: all kernels cross the parallel threshold.
-  const int n = 15;
-  const Graph g = erdos_renyi_graph(n, 0.3, rng);
-  const QaoaAnsatz ansatz(g);
-  const QaoaParams params = random_params(2, rng);
+  // 2^15 amplitudes: all full-state kernels cross the parallel threshold.
+  // At n = 16 the mirrored expectation's 2^15-amplitude half state does
+  // too (at n = 15 only its reduction is chunked).
+  for (int n : {15, 16}) {
+    const Graph g = erdos_renyi_graph(n, 0.3, rng);
+    const QaoaAnsatz ansatz(g);
+    ASSERT_TRUE(ansatz.engine().mirror_active());
+    const QaoaParams params = random_params(2, rng);
 
-  const int original = ThreadPool::configured_threads();
-  double base_value = 0.0;
-  std::vector<double> base_grad;
-  for (int threads : {1, 3, 8}) {
-    ThreadPool::set_global_threads(threads);
-    EvalWorkspace ws;
-    std::vector<double> grad;
-    const double value = ansatz.engine().value_and_gradient(params, grad, ws);
-    const double expect = ansatz.engine().expectation(params, ws);
-    if (threads == 1) {
-      base_value = value;
-      base_grad = grad;
-    } else {
-      // Bit-identical, not merely close: chunk boundaries are fixed by the
-      // range, never by the lane count.
-      EXPECT_EQ(value, base_value);
-      ASSERT_EQ(grad.size(), base_grad.size());
-      for (std::size_t i = 0; i < grad.size(); ++i) {
-        EXPECT_EQ(grad[i], base_grad[i]) << "component " << i;
+    const int original = ThreadPool::configured_threads();
+    double base_value = 0.0;
+    std::vector<double> base_grad;
+    for (int threads : {1, 3, 8}) {
+      ThreadPool::set_global_threads(threads);
+      EvalWorkspace ws;
+      std::vector<double> grad;
+      const double value =
+          ansatz.engine().value_and_gradient(params, grad, ws);
+      const double expect = ansatz.engine().expectation(params, ws);
+      if (threads == 1) {
+        base_value = value;
+        base_grad = grad;
+      } else {
+        // Bit-identical, not merely close: chunk boundaries are fixed by
+        // the range, never by the lane count.
+        EXPECT_EQ(value, base_value);
+        ASSERT_EQ(grad.size(), base_grad.size());
+        for (std::size_t i = 0; i < grad.size(); ++i) {
+          EXPECT_EQ(grad[i], base_grad[i]) << "component " << i;
+        }
       }
+      EXPECT_EQ(expect, value);
     }
-    EXPECT_EQ(expect, value);
+    ThreadPool::set_global_threads(original);
   }
-  ThreadPool::set_global_threads(original);
 }
 
 // --- Qubit cap ----------------------------------------------------------

@@ -10,6 +10,9 @@
 #include <vector>
 
 #include "autograd/var.hpp"
+#include "graph/generators.hpp"
+#include "qaoa/ansatz.hpp"
+#include "qaoa/eval_engine.hpp"
 #include "quantum/statevector.hpp"
 #include "simd/dispatch.hpp"
 #include "simd/kernels.hpp"
@@ -196,6 +199,27 @@ TEST(SimdKernels, RxPairsBitIdentical) {
   });
 }
 
+TEST(SimdKernels, RxMirrorBitIdentical) {
+  const double c = std::cos(0.37), s = std::sin(0.37);
+  // Power-of-two lengths are the statevector's; odd lengths leave a
+  // self-partnered middle amplitude alone and shift every tail.
+  for (std::uint64_t len : {2u, 7u, 8u, 37u, 64u, 517u, 1024u}) {
+    const std::uint64_t pairs = len / 2;
+    check_bit_identical("rx_mirror", [&] {
+      auto amps = test_values(2 * len, 0.4 + static_cast<double>(len));
+      simd::rx_mirror()(amps.data(), len, 0, pairs, c, s);
+      return std::vector<std::vector<double>>{amps};
+    });
+    // Sub-ranges: the parallel sharding hands the kernel any [lo, hi).
+    check_bit_identical("rx_mirror subrange", [&] {
+      auto amps = test_values(2 * len, 1.9 + static_cast<double>(len));
+      simd::rx_mirror()(amps.data(), len, pairs / 3, pairs - pairs / 4, c,
+                        s);
+      return std::vector<std::vector<double>>{amps};
+    });
+  }
+}
+
 TEST(SimdKernels, ScaledAssignBitIdentical) {
   const std::uint64_t dim = (1u << 9) + 11;
   const auto src = test_values(2 * dim, 0.9);
@@ -325,6 +349,47 @@ TEST(SimdEndToEnd, StateVectorLayersBitIdentical) {
     return std::vector<std::vector<double>>{bytes};
   };
   check_bit_identical("statevector layers", run);
+}
+
+// The QAOA engine's half-statevector expectation (Max-Cut's bit-flip
+// symmetry) is the full state's value bit for bit at every ISA, on both
+// sides of the parallel threshold and the rx block size.
+TEST(SimdEndToEnd, MirroredExpectationBitIdenticalAtEveryIsa) {
+  Rng rng(61);
+  std::vector<QaoaEvalEngine> engines;
+  std::vector<QaoaParams> params;
+  for (int n = 2; n <= 16; ++n) {
+    const Graph g = n == 2 ? complete_graph(2) : erdos_renyi_graph(n, 0.5, rng);
+    engines.emplace_back(n, maxcut_diagonal(g));
+    for (int depth = 1; depth <= 3; ++depth) {
+      std::vector<double> gammas, betas;
+      for (int l = 0; l < depth; ++l) {
+        gammas.push_back(rng.uniform(-3.0, 3.0));
+        betas.push_back(rng.uniform(-1.5, 1.5));
+      }
+      params.emplace_back(std::move(gammas), std::move(betas));
+    }
+  }
+  check_bit_identical("mirrored expectation", [&] {
+    std::vector<double> values;
+    for (std::size_t e = 0; e < engines.size(); ++e) {
+      const QaoaEvalEngine& engine = engines[e];
+      EXPECT_TRUE(engine.mirror_active());
+      for (std::size_t d = 0; d < 3; ++d) {
+        const QaoaParams& p = params[3 * e + d];
+        EvalWorkspace ws;
+        const double full =
+            engine.prepare_state(p, ws).expectation_diagonal(
+                engine.diagonal());
+        const double half = engine.expectation(p, ws);
+        EXPECT_EQ(std::memcmp(&half, &full, sizeof(double)), 0)
+            << half << " vs " << full << " at n=" << engine.num_qubits()
+            << " depth " << d + 1 << " under " << simd::active_isa_name();
+        values.push_back(half);
+      }
+    }
+    return std::vector<std::vector<double>>{values};
+  });
 }
 
 // ---------------------------------------------------------------------------
